@@ -15,9 +15,9 @@ Six execution modes are timed:
 * ``sequential_columnar`` -- the same driver on the batched columnar
   calendar-queue engine (``engine="columnar"``): the measurement surface
   is asserted byte-identical to the heap run, only wall-clock may differ;
-* ``sequential_columnar_chunked`` -- the columnar engine with the
-  per-chunk storage reader (``io_mode="chunked"``): the pre-batching
-  reference leg.  Its events-processed count is deterministically
+* ``sequential_columnar_chunked`` -- the columnar engine on the
+  per-chunk storage reader reference lane (``repro.testing.lanes``):
+  the pre-batching reference leg.  Its events-processed count is deterministically
   *higher* than the batched legs' (one event per chunk instead of one
   per tier-contiguous leg), which the report records as an explicit
   per-leg delta; every measurement is asserted identical with only the
@@ -49,6 +49,7 @@ from pathlib import Path
 from repro.api import FleetConfig, Profile, Telemetry, run_fleet
 from repro.testing.diff import diff_snapshots, snapshot
 from repro.testing.differential import _mask_engine_events
+from repro.testing.lanes import CHUNKED_IO, ReferenceFleetSimulation
 from repro.workloads.calibration import PLATFORMS
 from repro.workloads.fleet import FleetSimulation
 from repro.workloads.parallel import run_parallel
@@ -134,7 +135,9 @@ def test_fleet_hot_path_perf_report():
         FleetSimulation(queries=QUERIES, seed=SEED, engine="columnar")
     )
     chunked, chunked_wall = _timed_run(
-        FleetSimulation(queries=QUERIES, seed=SEED, engine="columnar", io_mode="chunked")
+        ReferenceFleetSimulation(
+            queries=QUERIES, seed=SEED, engine="columnar", lanes=(CHUNKED_IO,)
+        )
     )
     platform_sharded, pp_wall = _timed_run_parallel_platform()
 

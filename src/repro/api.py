@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, ClassVar, Iterator, Mapping, Sequence
 
 from repro.errors import (
     ConfigError,
@@ -138,7 +138,6 @@ class FleetConfig:
     counter_jitter: float = 0.02
     bigquery_dataset_rows: int = 4000
     fault_plans: Mapping[str, Any] | None = None
-    coalesce: bool = True
     observability: ObservabilityConfig | Mapping[str, float] | bool | None = None
     #: Event-engine lane: ``"heap"`` (one heappop per event) or
     #: ``"columnar"`` (SoA event blocks drained in time-bucketed batches by
@@ -146,13 +145,10 @@ class FleetConfig:
     #: the ``engine`` differential pair in ``repro selftest`` and the
     #: exporter goldens enforce it.
     engine: str = "heap"
-    #: Storage read-path lane: ``"batched"`` plans each multi-chunk DFS
-    #: read up front and schedules one event per tier-contiguous leg (one
-    #: generator resume per read); ``"chunked"`` is the legacy
-    #: one-Timeout-per-chunk reader.  Measurements are byte-identical --
-    #: the ``batched-io`` differential pair enforces it; only the event
-    #: count differs.  Chaos-bearing platforms are pinned to ``"chunked"``.
-    io_mode: str = "batched"
+    #: The storage read path every run ships with -- provenance, not a
+    #: setting (only chaos wiring and :mod:`repro.testing.lanes` switch a
+    #: DFS to its per-chunk reader).
+    io_mode: ClassVar[str] = "batched"
 
     def with_overrides(self, **overrides) -> "FleetConfig":
         """A copy with the given fields replaced (validates field names)."""

@@ -51,6 +51,7 @@ from repro.analysis import (
     table8_data,
 )
 from repro.errors import ConfigError
+from repro.platforms.common import ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -61,8 +62,6 @@ _MODEL_FIGURES = {
     "14": figure14_data,
     "15": figure15_data,
 }
-
-_ENGINES = ("heap", "columnar")
 
 
 # -- config-axis parsing ------------------------------------------------------
@@ -100,9 +99,9 @@ def _axis_shards(value):
 def _axis_engine(value):
     if value is None:
         return None
-    if value not in _ENGINES:
+    if value not in ENGINES:
         raise ConfigError(
-            f"--engine must be one of {list(_ENGINES)}, got {value!r}"
+            f"--engine must be one of {list(ENGINES)}, got {value!r}"
         )
     return value
 
@@ -153,15 +152,11 @@ def _add_axis_flags(
     command.add_argument(
         "--engine",
         default=engine_default,
-        metavar="|".join(_ENGINES),
+        metavar="|".join(ENGINES),
         help="discrete-event engine for the simulation inner loop: the "
         "reference binary heap, or the batched columnar calendar queue "
         "(byte-identical measurements, lower wall-clock)",
     )
-
-
-# Backwards-compatible alias used by older scripts importing the helper.
-_add_scheduler_flags = _add_axis_flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(identical results, lower wall-clock; auto-falls back to "
         "sequential on small hosts/workloads)",
     )
-    _add_scheduler_flags(fleet)
+    _add_axis_flags(fleet)
 
     top = sub.add_parser(
         "top",
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         help="--follow: mean arrivals per simulated second, fleet-wide",
     )
-    _add_scheduler_flags(top)
+    _add_axis_flags(top)
 
     export = sub.add_parser(
         "export",
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel workers (ignored for jsonl: span trees do not cross "
         "the process boundary)",
     )
-    _add_scheduler_flags(export)
+    _add_axis_flags(export)
     export.add_argument(
         "--out", default="-", help="output path, or '-' for stdout (default)"
     )

@@ -290,12 +290,6 @@ class ServerNode:
             if registered:
                 self._tenants.discard(tenant)
 
-    def compute_many(
-        self, ctx: WorkContext, chunks: list[tuple[str, float]]
-    ) -> Generator:
-        """Execute a sequence of (function, duration) chunks back to back."""
-        yield from self.compute_batch(ctx, chunks)
-
     def compute_block(self, ctx: WorkContext, block) -> Generator:
         """Columnar counterpart of :meth:`compute_batch` for a ChunkBlock.
 

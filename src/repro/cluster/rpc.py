@@ -164,7 +164,7 @@ def rpc_call(
     call_start = env.now
 
     # Client-side marshalling before the wire.
-    yield from client.compute_many(ctx, list(client_send_chunks))
+    yield from client.compute_batch(ctx, list(client_send_chunks))
 
     wait_start = env.now
 
@@ -267,7 +267,7 @@ def rpc_call(
     _publish_call(ctx, service, "ok", env.now - wait_start)
 
     # Client-side unmarshalling.
-    yield from client.compute_many(ctx, list(client_recv_chunks))
+    yield from client.compute_batch(ctx, list(client_recv_chunks))
     return response
 
 

@@ -154,9 +154,6 @@ class PlatformProfile:
 
     # -- platform-wide aggregates ------------------------------------------
 
-    def _time_weights(self) -> list[float]:
-        return [group.query_fraction * group.t_e2e for group in self.groups]
-
     @property
     def overall_breakdown(self) -> dict[str, float]:
         """Time-weighted overall (cpu, remote, io) fractions -- Figure 2's

@@ -90,9 +90,9 @@ class ChaosController:
         if dfs is not None:
             for server in dfs.servers:
                 controller.attach_store(f"storage-{server.index}", server.store)
-            # Pin the per-chunk read path: batched read plans resolve
-            # replica, tier, and fabric state at plan time and would skip
-            # over faults this controller injects mid-read.
+            # Pin the per-chunk read path (the fleet's only pin): batched
+            # read plans resolve replica, tier, and fabric state at plan time
+            # and would skip over faults this controller injects mid-read.
             dfs.io_mode = "chunked"
         return controller
 

@@ -38,7 +38,6 @@ from repro.platforms.functions import functions_for
 from repro.profiling.dapper import SpanKind, Tracer
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment, Interrupt, all_of
-from repro.storage.reader import IO_MODES as _IO_MODES
 
 __all__ = [
     "QueryPlan",
@@ -51,13 +50,6 @@ __all__ = [
 
 #: Valid values for ``PlatformBase.set_engine`` / ``FleetConfig.engine``.
 ENGINES = ("heap", "columnar")
-
-#: Valid values for ``PlatformBase.set_io_mode`` / ``FleetConfig.io_mode``:
-#: ``"batched"`` resolves multi-chunk DFS reads into tier-contiguous legs
-#: up front (one event per leg, one resume per read); ``"chunked"`` is the
-#: legacy one-Timeout-per-chunk reader.  Measurements are identical either
-#: way -- the ``batched-io`` differential pair enforces it.
-IO_MODES = _IO_MODES
 
 
 @dataclass(frozen=True, slots=True)
@@ -384,7 +376,6 @@ class PlatformBase:
         jitter: float = 0.08,
         offload=None,
         offload_model=None,
-        coalesce: bool = True,
         metrics=None,
     ):
         self.env = env
@@ -398,11 +389,6 @@ class PlatformBase:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.jitter = jitter
-        #: When True (the default), uncontended CPU chunk runs execute as a
-        #: single scheduled event per run (:meth:`ServerNode.compute_batch`)
-        #: instead of one event per micro-chunk.  Measurements are
-        #: unaffected -- see docs/performance.md for the invariants.
-        self.coalesce = coalesce
         #: Optional accelerator offload: an
         #: :class:`repro.accel.offload.OffloadRuntime` plus an
         #: :class:`repro.accel.complex.InvocationModel`.  When set, CPU
@@ -413,9 +399,6 @@ class PlatformBase:
         self.offload_model = offload_model
         #: Execution engine lane ("heap" or "columnar"); see :meth:`set_engine`.
         self.engine = "heap"
-        #: Storage read-path lane ("batched" or "chunked"); see
-        #: :meth:`set_io_mode`.
-        self.io_mode = "batched"
         self.chunker = CpuChunker(
             profile.cpu_component_fractions, rng=np.random.default_rng(seed + 1)
         )
@@ -470,21 +453,6 @@ class PlatformBase:
             self.profile.cpu_component_fractions,
             rng=np.random.default_rng(self.seed + 1),
         )
-
-    def set_io_mode(self, io_mode: str) -> None:
-        """Select the storage read-path lane: ``"batched"`` or ``"chunked"``.
-
-        Forwards to the platform's DFS (every platform builds one before
-        this is called from ``FleetSimulation.build_platform``).  Chaos
-        wiring pins the DFS back to ``"chunked"`` regardless of this
-        setting -- batched plans must not race mid-read fault injection.
-        """
-        if io_mode not in IO_MODES:
-            raise ValueError(f"io_mode must be one of {IO_MODES}, got {io_mode!r}")
-        self.io_mode = io_mode
-        dfs = getattr(self, "dfs", None)
-        if dfs is not None:
-            dfs.io_mode = io_mode
 
     def seed_query_streams(self, index: int) -> None:
         """Rebase the plan and chunker RNGs onto per-query streams.
@@ -634,26 +602,25 @@ class PlatformBase:
     ) -> Generator:
         """Execute categorized CPU chunks on a node.
 
-        With accelerator offload configured, chunks whose category the
-        complex covers run on accelerator units under the configured
-        invocation model; the rest stay on the node's cores.
+        Uncontended chunk runs execute as one scheduled event per run
+        (:meth:`ServerNode.compute_batch` / :meth:`ServerNode.compute_block`)
+        with byte-identical measurements -- see docs/performance.md for the
+        invariants.  With accelerator offload configured, chunks whose
+        category the complex covers run on accelerator units under the
+        configured invocation model; the rest stay on the node's cores.
         """
         if isinstance(chunks, ChunkBlock):
-            if self.offload is None and self.coalesce:
+            if self.offload is None:
                 yield from node.compute_block(ctx, chunks)
                 return
-            # Uncoalesced or offloaded runs use the heap representation --
-            # those paths are per-chunk (or re-categorized) anyway, and the
-            # materialized pairs are byte-identical to the heap chunker's.
+            # Offloaded runs use the heap representation -- they are
+            # re-categorized anyway, and the materialized pairs are
+            # byte-identical to the heap chunker's.
             chunks = chunks.pairs()
         else:
             chunks = list(chunks)
         if self.offload is None:
-            if self.coalesce:
-                yield from node.compute_batch(ctx, chunks)
-            else:
-                for function, duration in chunks:
-                    yield from node.compute(ctx, function, duration)
+            yield from node.compute_batch(ctx, chunks)
             return
         from repro.profiling.categories import default_categorizer
 
@@ -679,11 +646,7 @@ class PlatformBase:
                 accelerated=True,
                 items=len(offloadable),
             )
-        if self.coalesce:
-            yield from node.compute_batch(ctx, residual)
-        else:
-            for function, duration in residual:
-                yield from node.compute(ctx, function, duration)
+        yield from node.compute_batch(ctx, residual)
 
     def overlap_phase(
         self,

@@ -101,12 +101,13 @@ class DistributedFileSystem:
         #: Bumped whenever ``_replica_order`` is cleared, so in-flight reads
         #: holding a per-reader sub-dict can notice mid-read failovers.
         self._replica_gen = 0
-        #: Read-path lane: ``"batched"`` plans a whole multi-chunk read up
-        #: front and schedules one event per tier-contiguous leg (see
-        #: :mod:`repro.storage.reader`); ``"chunked"`` is the legacy
-        #: one-Timeout-per-chunk reader.  Chaos controllers pin this to
-        #: ``"chunked"`` because batched plans resolve replica/tier/fabric
-        #: state at plan time and must not race mid-read fault injection.
+        #: Internal reader switch: ``"batched"`` plans a whole multi-chunk
+        #: read up front and schedules one event per tier-contiguous leg
+        #: (see :mod:`repro.storage.reader`); ``"chunked"`` is the
+        #: one-Timeout-per-chunk reader.  Only an attached chaos controller
+        #: (batched plans resolve replica/tier/fabric state at plan time and
+        #: must not race mid-read fault injection) and the
+        #: :mod:`repro.testing.lanes` reference lane set ``"chunked"``.
         self.io_mode = "batched"
 
     # -- failure injection -----------------------------------------------------
@@ -170,9 +171,6 @@ class DistributedFileSystem:
                 self.servers[replica].store.invalidate(chunk.chunk_id)
 
     # -- data path ------------------------------------------------------------
-
-    def _closest_replica(self, chunk: Chunk, reader: Topology) -> StorageServer:
-        return self._replicas_by_locality(chunk, reader)[0]
 
     def _replicas_by_locality(
         self, chunk: Chunk, reader: Topology

@@ -48,9 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReadLeg", "ReadPlan", "plan_read"]
 
-#: Valid values for the DFS/platform/fleet ``io_mode`` axis.
-IO_MODES = ("batched", "chunked")
-
 
 class ReadLeg:
     """One contiguous same-tier segment of a planned read.

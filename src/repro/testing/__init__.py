@@ -15,6 +15,8 @@ canned ones the golden suites pin:
   field-by-field differ the parity test suites are built on.
 * :mod:`~repro.testing.differential` -- runs one config through every
   mode pair that must agree and diffs the snapshots.
+* :mod:`~repro.testing.lanes` -- the per-chunk reference lanes (CPU and
+  storage reads) the production fast paths are checked against.
 * :mod:`~repro.testing.oracles` -- metamorphic oracles: properties that
   must hold for *any* config (sample conservation, span-tree
   well-formedness, storage-ratio recovery, query-count monotonicity).

@@ -9,16 +9,18 @@ Nine execution-mode axes must not change a single measurement:
   worker count, so worker placement and steal order are exercised;
 * ``observability`` -- metrics registry + scraper on vs off (observers
   only read simulation state);
-* ``coalescing`` -- CPU-chunk coalescing fast path vs chunk-by-chunk;
+* ``coalescing`` -- the coalesced CPU fast path vs the per-chunk CPU
+  reference lane (:mod:`repro.testing.lanes`), which also runs the RPC
+  client chunks one by one;
 * ``engine`` -- the columnar calendar-queue event engine vs the
   reference binary heap (the two engines must agree on *everything*,
   including events processed -- they drain the identical event set);
 * ``batched-io`` -- the batched storage read planner (one coalesced
   leg per contiguous device tier, one generator resume per read) vs
-  the per-chunk reader: samples, spans, tier hit counters, and traffic
-  counters must be byte-identical; only the events-processed
-  bookkeeping may differ (processing fewer events is the point, as
-  with coalescing);
+  the per-chunk reader reference lane: samples, spans, tier hit
+  counters, and traffic counters must be byte-identical; only the
+  events-processed bookkeeping may differ (processing fewer events is
+  the point, as with coalescing);
 * ``replay`` -- the same config run twice: seed determinism, and (when
   the config carries fault plans) the chaos-replay ledger against the
   original run's ledger;
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.testing.diff import Mismatch, diff_snapshots, snapshot
+from repro.testing.lanes import CHUNKED_IO, PER_CHUNK_CPU, run_reference
 
 __all__ = ["PairResult", "DifferentialReport", "DifferentialRunner", "MODE_PAIRS"]
 
@@ -146,10 +149,13 @@ class DifferentialRunner:
 
     def _compare(
         self, pair: str, base_snap: dict, config, ignore=(), transform=None,
-        **overrides,
+        lane: str | None = None, **overrides,
     ) -> PairResult:
         try:
-            other = self._leg(config, **overrides)
+            if lane is None:
+                other = self._leg(config, **overrides)
+            else:
+                other = run_reference(config, (lane,))
         except Exception as exc:  # a crashing leg is a verdict, not a bug here
             return PairResult(pair, error=f"{type(exc).__name__}: {exc}")
         other_snap = snapshot(other)
@@ -178,7 +184,7 @@ class DifferentialRunner:
                         base_snap,
                         config,
                         transform=_mask_engine_events,
-                        coalesce=False,
+                        lane=PER_CHUNK_CPU,
                     )
                 )
             elif pair == "engine":
@@ -189,18 +195,17 @@ class DifferentialRunner:
                     self._compare("engine", base_snap, config, engine=flipped)
                 )
             elif pair == "batched-io":
-                # Flip the storage io_mode axis: the batched planner must
-                # reproduce the per-chunk reader's entire measurement
-                # surface.  The events-processed gauge is masked like the
-                # coalescing pair's -- fewer events is the optimization.
-                flipped = "chunked" if config.io_mode == "batched" else "batched"
+                # The batched planner must reproduce the per-chunk reader's
+                # entire measurement surface.  The events-processed gauge is
+                # masked like the coalescing pair's -- fewer events is the
+                # optimization.
                 results.append(
                     self._compare(
                         "batched-io",
                         base_snap,
                         config,
                         transform=_mask_engine_events,
-                        io_mode=flipped,
+                        lane=CHUNKED_IO,
                     )
                 )
             elif pair == "replay":

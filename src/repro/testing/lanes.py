@@ -1,0 +1,74 @@
+"""Reference lanes: the per-chunk twins of the production fast paths.
+
+The fleet runs one production path per layer: coalesced CPU runs
+(``ServerNode.compute_batch`` / ``compute_block``) and batched storage
+reads.  Their slow twins are kept only as oracles for the ``coalescing``
+and ``batched-io`` differential pairs, and are switched on here:
+
+* ``"per-chunk-cpu"`` -- every cluster node's coalesced CPU entry points
+  run chunk by chunk through ``ServerNode.compute`` (RPC client chunks
+  included);
+* ``"chunked-io"`` -- every DFS reads through its per-chunk reader, the
+  lane an attached chaos controller pins.
+"""
+
+from __future__ import annotations
+
+from types import MethodType
+from typing import Iterable
+
+from repro.workloads.fleet import FleetSimulation
+
+PER_CHUNK_CPU = "per-chunk-cpu"
+CHUNKED_IO = "chunked-io"
+REFERENCE_LANES = (PER_CHUNK_CPU, CHUNKED_IO)
+
+
+def _compute_per_chunk(node, ctx, chunks):
+    for function, duration in chunks:
+        yield from node.compute(ctx, function, duration)
+
+
+def per_chunk_cpu(node) -> None:
+    """Send one node's coalesced CPU entry points through per-chunk compute."""
+    node.compute_batch = MethodType(_compute_per_chunk, node)
+    node.compute_block = lambda ctx, block: _compute_per_chunk(
+        node, ctx, block.pairs()
+    )
+
+
+def chunked_reader(dfs) -> None:
+    """Pin a DFS to its per-chunk reader (one Timeout per chunk)."""
+    dfs.io_mode = "chunked"
+
+
+class ReferenceFleetSimulation(FleetSimulation):
+    """A :class:`FleetSimulation` whose platforms run on reference lanes."""
+
+    def __init__(self, *, lanes: Iterable[str] = REFERENCE_LANES, **kwargs):
+        self.lanes = tuple(lanes)
+        unknown = set(self.lanes) - set(REFERENCE_LANES)
+        if unknown:
+            raise ValueError(f"unknown reference lanes {sorted(unknown)}")
+        super().__init__(**kwargs)
+
+    def config(self) -> dict:
+        return {**super().config(), "lanes": self.lanes}
+
+    def build_platform(self, *args, **kwargs):
+        platform = super().build_platform(*args, **kwargs)
+        if PER_CHUNK_CPU in self.lanes:
+            for node in platform.cluster.nodes:
+                per_chunk_cpu(node)
+        if CHUNKED_IO in self.lanes:
+            chunked_reader(platform.dfs)
+        return platform
+
+
+def run_reference(config, lanes: Iterable[str] = REFERENCE_LANES):
+    """Run a ``FleetConfig`` sequentially on the given reference lanes,
+    resolved (shard geometry included) exactly as ``run_fleet`` would."""
+    from repro.api import build_simulation
+
+    sim = build_simulation(config, parallel=False)
+    return ReferenceFleetSimulation(lanes=lanes, **sim.config()).run()

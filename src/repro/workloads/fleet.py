@@ -230,22 +230,16 @@ class FleetSimulation:
         counter_jitter: float = 0.02,
         bigquery_dataset_rows: int = 4000,
         fault_plans: Mapping[str, FaultPlan] | None = None,
-        coalesce: bool = True,
         observability: ObservabilityConfig | Mapping[str, float] | bool | None = None,
         shards: int | Mapping[str, int] | None = None,
         engine: str = "heap",
-        io_mode: str = "batched",
     ):
-        from repro.platforms.common import ENGINES, IO_MODES
+        from repro.platforms.common import ENGINES
         from repro.workloads.shards import validate_shards
 
         if engine not in ENGINES:
             raise ConfigError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
-            )
-        if io_mode not in IO_MODES:
-            raise ConfigError(
-                f"io_mode must be one of {IO_MODES}, got {io_mode!r}"
             )
         self.queries = normalize_queries(queries)
         #: Query-granular sharding: ``None`` (default) keeps the legacy
@@ -260,20 +254,11 @@ class FleetSimulation:
         self.trace_sample_rate = trace_sample_rate
         self.counter_jitter = counter_jitter
         self.bigquery_dataset_rows = bigquery_dataset_rows
-        #: Disable CPU-chunk coalescing (one event per micro-chunk instead);
-        #: exists for the golden-equivalence tests and perf A/B runs.
-        self.coalesce = coalesce
         #: Event-engine lane: ``"heap"`` (the classic one-heappop-per-event
         #: loop) or ``"columnar"`` (struct-of-arrays event blocks drained in
         #: time-bucketed batches; byte-identical measurements, see
         #: docs/performance.md).
         self.engine = engine
-        #: Storage read-path lane: ``"batched"`` (multi-chunk reads planned
-        #: up front, one event per tier-contiguous leg) or ``"chunked"``
-        #: (the legacy one-Timeout-per-chunk reader).  Platforms with a
-        #: fault plan are pinned to ``"chunked"`` regardless -- batched
-        #: plans must not race mid-read fault injection.
-        self.io_mode = io_mode
         #: Optional chaos: platform name -> FaultPlan replayed into that
         #: platform's environment while it serves its query stream.
         self.fault_plans = dict(fault_plans or {})
@@ -298,12 +283,10 @@ class FleetSimulation:
             "counter_jitter": self.counter_jitter,
             "bigquery_dataset_rows": self.bigquery_dataset_rows,
             "fault_plans": dict(self.fault_plans),
-            "coalesce": self.coalesce,
             "observability": self.observability,
             "shards": self.shards if not isinstance(self.shards, dict)
             else dict(self.shards),
             "engine": self.engine,
-            "io_mode": self.io_mode,
         }
 
     def fleet_profiler(self) -> FleetProfiler:
@@ -359,13 +342,7 @@ class FleetSimulation:
             )
         else:
             raise ValueError(f"unknown platform {name!r}")
-        platform.coalesce = self.coalesce
         platform.set_engine(self.engine)
-        # Chaos-bearing platforms stay on the per-chunk reader: a batched
-        # plan resolves replica, tier, and fabric state at plan time, and
-        # must not skip over a fault injected mid-read.
-        io_mode = "chunked" if name in self.fault_plans else self.io_mode
-        platform.set_io_mode(io_mode)
         return platform
 
     def start_observer(
@@ -490,7 +467,7 @@ class FleetSimulation:
         results = []
         for spec in specs:
             began = time.perf_counter()
-            results.append(run_shard(config, spec, self.progress_sink))
+            results.append(run_shard(config, spec, self.progress_sink, type(self)))
             stats.record(0, spec, time.perf_counter() - began)
         result = merge_shard_results(self, results)
         result.scheduler = stats

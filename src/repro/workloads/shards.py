@@ -301,18 +301,22 @@ class ShardResult:
         return self.spec.platform
 
 
-def run_shard(config: Mapping, spec: ShardSpec, progress=None) -> "ShardResult":
+def run_shard(
+    config: Mapping, spec: ShardSpec, progress=None, simulation=None
+) -> "ShardResult":
     """Job entry point: simulate one query range against private sinks.
 
     Module-level (not a closure) so worker processes can unpickle it;
-    ``config`` is :meth:`FleetSimulation.config`.  ``progress`` is an
+    ``config`` is :meth:`FleetSimulation.config` of ``simulation`` (the
+    class; :class:`FleetSimulation` by default).  ``progress`` is an
     optional queue proxy the shard's observer pushes live scrape rows into.
     Pure in the scheduling sense: the result depends only on
     ``(config, spec)``.
     """
-    from repro.workloads.fleet import FleetSimulation
+    if simulation is None:
+        from repro.workloads.fleet import FleetSimulation as simulation
 
-    sim = FleetSimulation(**config)
+    sim = simulation(**config)
     sim.progress_sink = progress
     name = spec.platform
     profiler = sim.profiler_for(name)

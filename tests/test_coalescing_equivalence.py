@@ -3,9 +3,11 @@
 The coalesced fast path (`ServerNode.compute_batch` + `_BatchRecorder`)
 exists purely for speed; every observable -- span tuples, profiler samples,
 end-to-end breakdowns, cycle breakdowns -- must be byte-identical to the
-uncoalesced chunk-by-chunk path.  These tests run both paths and compare
-exact floats (no tolerances: the invariant is identity, not closeness),
-using the shared snapshot differ from :mod:`repro.testing.diff`.
+chunk-by-chunk path.  The fleet-level tests run the production fleet
+against the per-chunk CPU reference lane (:mod:`repro.testing.lanes`,
+which also runs the RPC client chunks one by one) and compare exact floats
+(no tolerances: the invariant is identity, not closeness), using the shared
+snapshot differ from :mod:`repro.testing.diff`.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.testing import (
     snapshot,
     span_rows,
 )
+from repro.testing.lanes import PER_CHUNK_CPU, ReferenceFleetSimulation
 from repro.workloads.calibration import PLATFORMS
 from repro.workloads.fleet import FleetSimulation
 from tests.strategies import sample_periods, work_chunks
@@ -32,8 +35,10 @@ QUERIES = {"Spanner": 6, "BigTable": 6, "BigQuery": 3}
 @pytest.fixture(scope="module", params=[0, 1, 2])
 def fleet_pair(request):
     seed = request.param
-    coalesced = FleetSimulation(queries=QUERIES, seed=seed, coalesce=True).run()
-    chunked = FleetSimulation(queries=QUERIES, seed=seed, coalesce=False).run()
+    coalesced = FleetSimulation(queries=QUERIES, seed=seed).run()
+    chunked = ReferenceFleetSimulation(
+        queries=QUERIES, seed=seed, lanes=(PER_CHUNK_CPU,)
+    ).run()
     return coalesced, chunked
 
 

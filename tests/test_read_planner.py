@@ -6,8 +6,9 @@ fabric traffic counters -- only the event schedule (one leg per contiguous
 tier instead of one timeout per chunk) may differ.  Floats make "same"
 a sharp claim: chunk boundaries are accumulated sums, service times are
 latency + bytes/bandwidth chains, and the differ compares them exactly.
-So these properties drive two *identical worlds* through the two io
-modes and assert ``==`` on every surface, never ``approx``.
+So these properties drive two *identical worlds*, one through the planner
+and one through the per-chunk reference lane (``repro.testing.lanes``),
+and assert ``==`` on every surface, never ``approx``.
 
 Also pinned here: the degrade path.  A read issued while any storage
 server is marked down must take the per-chunk lane (the planner resolves
@@ -38,6 +39,7 @@ from repro.storage import (
 )
 from repro.storage.reader import plan_read
 from repro.storage.tier import TierStats
+from repro.testing.lanes import chunked_reader
 
 KB = 1024.0
 MB = 1024.0 * KB
@@ -67,8 +69,9 @@ def _world(chunk_kb: float, file_kb: float, servers: int = 4):
     return env, dfs
 
 
-def _read(env, dfs, offset: float, size: float, io_mode: str):
-    dfs.io_mode = io_mode
+def _read(env, dfs, offset: float, size: float, chunked: bool):
+    if chunked:
+        chunked_reader(dfs)
     trace = Trace(0, "q", env.now)
     ctx = WorkContext(platform="x", trace=trace)
     reader = Topology("us", "us-c0", "r0")
@@ -131,8 +134,8 @@ class TestBatchedChunkedParity:
         env_a, dfs_a = _world(chunk_kb, file_kb)
         env_b, dfs_b = _world(chunk_kb, file_kb)
         for _ in range(repeats):  # repeats exercise warm-cache plans too
-            served_a, trace_a = _read(env_a, dfs_a, offset, size, "batched")
-            served_b, trace_b = _read(env_b, dfs_b, offset, size, "chunked")
+            served_a, trace_a = _read(env_a, dfs_a, offset, size, chunked=False)
+            served_b, trace_b = _read(env_b, dfs_b, offset, size, chunked=True)
             assert served_a == served_b
             assert _io_spans(trace_a) == _io_spans(trace_b)
         _assert_worlds_identical(env_a, dfs_a, env_b, dfs_b)
@@ -152,12 +155,12 @@ class TestBatchedChunkedParity:
         offset = file_size * (lo / 10_000.0)
         size = file_size * (hi / 10_000.0) - offset
         worlds = []
-        for io_mode in ("batched", "chunked"):
+        for chunked in (False, True):
             env, dfs = _world(chunk_kb, file_kb)
             dfs.fabric.partition(
                 TopologySelector(rack="r0"), TopologySelector(rack="r1")
             )
-            served, trace = _read(env, dfs, offset, size, io_mode)
+            served, trace = _read(env, dfs, offset, size, chunked)
             worlds.append((env, dfs, served, trace))
         (env_a, dfs_a, served_a, trace_a), (env_b, dfs_b, served_b, trace_b) = worlds
         assert served_a == served_b
@@ -168,9 +171,10 @@ class TestBatchedChunkedParity:
         # Every route cut: both modes must raise, leave time at the same
         # instant, and record the same error span.
         results = []
-        for io_mode in ("batched", "chunked"):
+        for chunked in (False, True):
             env, dfs = _world(256.0, 1024.0)
-            dfs.io_mode = io_mode
+            if chunked:
+                chunked_reader(dfs)
             dfs.fabric.partition(TopologySelector(), TopologySelector())
             trace = Trace(0, "q", env.now)
             ctx = WorkContext(platform="x", trace=trace)
