@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left as _bisect_left, bisect_right as _bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
 from itertools import islice
@@ -258,6 +259,7 @@ class ServerNode:
             try:
                 if t > service_start:
                     _heappush(env._queue, (ends[0], recorder.base, recorder))
+                    recorder.env = env
                     timeout = env.timeout_at(t)
                     recorder.process = tenant
                     recorder.timeout = timeout
@@ -413,6 +415,14 @@ class _BatchRecorder:
     order through a cursor, so coalesced execution emits byte-identical
     profiler/tracer records to chunk-by-chunk execution.
 
+    Popped by :meth:`Environment.run`, one call drains the whole run of
+    boundaries whose ``(end, counter)`` key sorts before the heap head,
+    capped at the run's deadline: those pops would have run back to back
+    with no other event between them.  Only the heap traffic goes; each
+    chunk is credited and spanned exactly as before, the clock ends on the
+    last boundary fired, and the extra fires are tallied in
+    ``env.inline_fires`` so ``events_processed`` is unchanged.
+
     If a competitor is queued for a core when a boundary fires, the batch
     ends here: the recorder detaches the process from its batch-end timeout
     and resumes it *synchronously* -- i.e. at this boundary's reserved heap
@@ -440,6 +450,7 @@ class _BatchRecorder:
         "queue",
         "base",
         "waiters",
+        "env",
         "process",
         "timeout",
         "cursor",
@@ -485,6 +496,10 @@ class _BatchRecorder:
         self.base = base
         #: The core pool's wait deque; non-empty at a boundary => preempt.
         self.waiters = waiters
+        #: The environment whose run loop may drain this batch; attached
+        #: only once the first boundary sits in the heap, so synchronous
+        #: calls (zero-duration batches, columnar fallbacks) fire one chunk.
+        self.env = None
         self.process = None
         self.timeout = None
         self.cursor = 0
@@ -504,50 +519,80 @@ class _BatchRecorder:
     def __call__(self) -> None:
         if self.cancelled:
             return
-        cursor = self.cursor
+        i = self.cursor
         ends = self.ends
-        nxt = cursor + 1
-        self.cursor = nxt
+        n = len(ends)
+        j = i + 1
         preempt = False
-        if nxt < len(ends):
+        if j < n:
             if self.waiters and self.process is not None:
                 preempt = True
             else:
-                _heappush(self.queue, (ends[nxt], self.base + nxt, self))
-        function = self.chunks[cursor][0]
-        end = ends[cursor]
-        if cursor:
-            span_start = prev = ends[cursor - 1]
+                env = self.env
+                if env is not None and env._drain_bound >= ends[j]:
+                    # Block drain: fire every boundary whose key sorts before
+                    # the heap head (and lies within the active run's
+                    # deadline) in this call.  Nothing runs between those
+                    # pops, so the waiter deque and ``trace.end`` are the
+                    # same at each of them as at this one.
+                    bound = env._drain_bound
+                    when, count, _ = self.queue[0]
+                    if when <= bound:
+                        j = _bisect_left(ends, when, j, n)
+                        if j < n and ends[j] == when:
+                            # Equal times sort by counter.
+                            j = min(
+                                _bisect_right(ends, when, j, n),
+                                max(j, count - self.base),
+                            )
+                    else:
+                        j = _bisect_right(ends, bound, j, n)
+                    if j > i + 1:
+                        env._now = ends[j - 1]
+                        env.inline_fires += j - i - 1
+                if j < n:
+                    _heappush(self.queue, (ends[j], self.base + j, self))
+        self.cursor = j
+        chunks = self.chunks
+        if i:
+            span_start = prev = ends[i - 1]
         else:
             prev = self.service_start
             span_start = self.start
-        if self.profiler is not None:
+        profiler = self.profiler
+        if profiler is not None:
             pid = self.pid
-            duration = end - prev
-            self.cpu_secs[pid] += duration
+            period = self.period
             credits = self.credits
-            credit = credits[pid] + duration
-            if credit < self.period:
-                credits[pid] = credit
-            else:
-                self.profiler._record_crossing(pid, self.platform, function, credit, prev)
+            cpu_secs = self.cpu_secs
         trace = self.trace
         if trace is not None and trace.end is None:
             # Trace.record_chunk inlined (the call overhead is measurable at
             # one invocation per CPU micro-chunk).
-            self.append_span(
-                (
-                    self.next_span_id(),
-                    self.parent_id,
-                    function,
-                    _CPU,
-                    span_start,
-                    end,
-                    self.node_name,
+            append_span = self.append_span
+            next_span_id = self.next_span_id
+            parent_id = self.parent_id
+            node_name = self.node_name
+        else:
+            trace = None
+        for k in range(i, j):
+            end = ends[k]
+            function = chunks[k][0]
+            if profiler is not None:
+                duration = end - prev
+                cpu_secs[pid] += duration
+                credit = credits[pid] + duration
+                if credit < period:
+                    credits[pid] = credit
+                else:
+                    profiler._record_crossing(pid, self.platform, function, credit, prev)
+            if trace is not None:
+                append_span(
+                    (next_span_id(), parent_id, function, _CPU, span_start, end, node_name)
                 )
-            )
+            span_start = prev = end
         if preempt:
-            self._preempt(nxt)
+            self._preempt(i + 1)
 
     def _preempt(self, next_index: int) -> None:
         """End the batch at this boundary: resume the process *now*.

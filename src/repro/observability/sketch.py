@@ -121,7 +121,13 @@ def _interpolated(ordered: Sequence[float], q: float) -> float:
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
     frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    return _lerp(ordered[low], ordered[high], frac)
+
+
+def _lerp(low: float, high: float, frac: float) -> float:
+    """``low*(1-frac) + high*frac`` clamped to ``[low, high]``: the blend can
+    land one ulp outside its endpoints, even when they are equal."""
+    return min(max(low * (1.0 - frac) + high * frac, low), high)
 
 
 class QuantileSketch:
@@ -184,7 +190,7 @@ def _weighted_interpolated(points: Sequence[tuple[float, float]], q: float) -> f
             if high_pos <= low_pos:
                 return high_val
             frac = (rank - low_pos) / (high_pos - low_pos)
-            return low_val * (1.0 - frac) + high_val * frac
+            return _lerp(low_val, high_val, frac)
     return centers[-1][1]
 
 

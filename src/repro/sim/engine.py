@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable
+
+_INF = float("inf")
+_NEG_INF = float("-inf")
 
 __all__ = [
     "SimulationError",
@@ -244,6 +248,19 @@ class Environment:
         self._active_process: Process | None = None
         #: Number of events processed so far (perf-harness telemetry).
         self.events_processed = 0
+        #: Latest key time a CPU batch recorder may fire inline (see
+        #: ``repro.cluster.node._BatchRecorder``): the active run's deadline
+        #: while :meth:`run` pops, ``-inf`` otherwise, so :meth:`step` and
+        #: synchronous recorder calls fire one boundary each.
+        self._drain_bound = _NEG_INF
+        #: Boundaries fired inline by recorder drains (cumulative).  Each is
+        #: one event a per-boundary run would have popped; :meth:`run`
+        #: folds them into ``events_processed`` when it returns.
+        self.inline_fires = 0
+
+    #: Whether :meth:`run` lets CPU batch recorders drain in blocks; the
+    #: ``per-boundary`` reference lane clears it per environment.
+    drain_batches = True
 
     @property
     def now(self) -> float:
@@ -340,8 +357,18 @@ class Environment:
         queue = self._queue
         pop = heapq.heappop
         processed = 0
+        inline_before = self.inline_fires
+        # The loop allocates heavily but creates almost no garbage cycles;
+        # generational GC passes would cost a large share of wall time for
+        # no reclaimed memory.  Park the collector for the run and restore
+        # it afterwards -- simulation order is untouched.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         try:
             if isinstance(until, Event):
+                if self.drain_batches:
+                    self._drain_bound = _INF
                 sentinel = until
                 while sentinel.callbacks is not None:
                     if not queue:
@@ -371,9 +398,13 @@ class Environment:
                 if sentinel.ok:
                     return sentinel.value
                 raise sentinel.value
-            deadline = float("inf") if until is None else float(until)
-            if deadline != float("inf") and deadline < self._now:
+            deadline = _INF if until is None else float(until)
+            if deadline != _INF and deadline < self._now:
                 raise ValueError(f"until={deadline} is in the past (now={self._now})")
+            if self.drain_batches:
+                # Boundaries at exactly the deadline still fire, as they
+                # would pop here; later ones wait for the next run.
+                self._drain_bound = deadline
             while queue and queue[0][0] <= deadline:
                 when, _, event = pop(queue)
                 self._now = when
@@ -386,11 +417,14 @@ class Environment:
                     callback(event)
                 if not event._ok and not callbacks and not isinstance(event, Process):
                     raise event._value
-            if deadline != float("inf"):
+            if deadline != _INF:
                 self._now = deadline
             return None
         finally:
-            self.events_processed += processed
+            self._drain_bound = _NEG_INF
+            self.events_processed += processed + self.inline_fires - inline_before
+            if gc_was_enabled:
+                gc.enable()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""

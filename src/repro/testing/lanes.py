@@ -1,15 +1,18 @@
 """Reference lanes: the per-chunk twins of the production fast paths.
 
 The fleet runs one production path per layer: coalesced CPU runs
-(``ServerNode.compute_batch`` / ``compute_block``) and batched storage
-reads.  Their slow twins are kept only as oracles for the ``coalescing``
-and ``batched-io`` differential pairs, and are switched on here:
+(``ServerNode.compute_batch`` / ``compute_block``) drained in blocks by
+the heap engine, and batched storage reads.  Their slow twins are kept
+only as oracles for the ``coalescing`` and ``batched-io`` differential
+pairs and the heap-drain tests, and are switched on here:
 
 * ``"per-chunk-cpu"`` -- every cluster node's coalesced CPU entry points
   run chunk by chunk through ``ServerNode.compute`` (RPC client chunks
   included);
 * ``"chunked-io"`` -- every DFS reads through its per-chunk reader, the
-  lane an attached chaos controller pins.
+  lane an attached chaos controller pins;
+* ``"per-boundary"`` -- every platform environment pops each coalesced
+  CPU chunk boundary as its own heap event (no recorder block drain).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from repro.workloads.fleet import FleetSimulation
 
 PER_CHUNK_CPU = "per-chunk-cpu"
 CHUNKED_IO = "chunked-io"
-REFERENCE_LANES = (PER_CHUNK_CPU, CHUNKED_IO)
+PER_BOUNDARY = "per-boundary"
+REFERENCE_LANES = (PER_CHUNK_CPU, CHUNKED_IO, PER_BOUNDARY)
 
 
 def _compute_per_chunk(node, ctx, chunks):
@@ -40,6 +44,11 @@ def per_chunk_cpu(node) -> None:
 def chunked_reader(dfs) -> None:
     """Pin a DFS to its per-chunk reader (one Timeout per chunk)."""
     dfs.io_mode = "chunked"
+
+
+def per_boundary(env) -> None:
+    """Keep one environment's drain bound at ``-inf``: one pop per boundary."""
+    env.drain_batches = False
 
 
 class ReferenceFleetSimulation(FleetSimulation):
@@ -62,6 +71,8 @@ class ReferenceFleetSimulation(FleetSimulation):
                 per_chunk_cpu(node)
         if CHUNKED_IO in self.lanes:
             chunked_reader(platform.dfs)
+        if PER_BOUNDARY in self.lanes:
+            per_boundary(platform.env)
         return platform
 
 

@@ -16,7 +16,7 @@ The contract under test:
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -126,6 +126,12 @@ class TestExactPhase:
 class TestToleranceAndBounds:
     @given(stream=timed_streams(), width=window_widths, buckets=window_bucket_counts)
     @settings(max_examples=60, deadline=None)
+    # Equal interpolation endpoints once blended one ulp above themselves.
+    @example(
+        stream=[(1.0, 0.0), (800.2719999451289, 0.0), (800.2719999451289, 0.0)],
+        width=1.0,
+        buckets=1,
+    )
     def test_estimate_stays_in_live_range(self, stream, width, buckets):
         window = width * buckets
         sketch = WindowedQuantileSketch(window, buckets=buckets)
