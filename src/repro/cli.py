@@ -473,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrival", default=None, help="serve arrival process (e.g. poisson)"
     )
     ingest.add_argument(
-        "--bench",
-        default=None,
-        metavar="JSON",
-        help="ingest the legs of an existing bench report JSON file instead "
-        "of running anything",
-    )
-    ingest.add_argument(
         "--label", default=None, help="free-form label stored with the run"
     )
 
@@ -546,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         default=None,
         metavar="FRAC",
-        help="relative band (default 0 for fleet metrics, 0.2 for --bench)",
+        help="relative band (default 0)",
     )
     regress.add_argument(
         "--run", default=None, metavar="ID", help="target run (default: newest)"
@@ -556,13 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ID",
         help="baseline run (default: the run before the target)",
-    )
-    regress.add_argument(
-        "--bench",
-        default=None,
-        metavar="MODE",
-        help="gate the two newest bench legs of MODE on samples_per_second "
-        "instead of a fleet metric",
     )
     return parser
 
@@ -1039,33 +1025,10 @@ def _axis_float(name: str, value, *, minimum: float | None = None):
 
 
 def _store_ingest(args: argparse.Namespace) -> int:
-    import json
-
     from repro import api
-    from repro.store import StoreWriter, open_store
+    from repro.store import open_store
 
-    sources = [
-        flag for flag in ("serve", "bench") if getattr(args, flag) is not None
-    ]
-    if len(sources) > 1:
-        raise ConfigError("--serve and --bench are mutually exclusive, got both")
     axes = _resolve_axes(args)
-
-    if args.bench is not None:
-        bench_path = Path(args.bench)
-        if not bench_path.is_file():
-            raise ConfigError(f"--bench report {args.bench!r} does not exist")
-        try:
-            report = json.loads(bench_path.read_text())
-        except json.JSONDecodeError as error:
-            raise ConfigError(
-                f"--bench report {args.bench!r} is not JSON: {error}"
-            ) from None
-        with open_store(args.path) as store:
-            run_id = StoreWriter(store).ingest_bench(report, label=args.label)
-        print(f"ingested bench run {run_id} into {args.path}")
-        return 0
-
     if args.serve is not None:
         for flag in ("shards", "max_workers"):
             if axes.pop(flag, None) is not None:
@@ -1200,18 +1163,12 @@ def _store_regress(args: argparse.Namespace) -> int:
     tolerance = _axis_float("tolerance", args.tolerance, minimum=0.0)
     with open_store(args.path, create=False) as store:
         provider = DataProvider(store)
-        if args.bench is not None:
-            report = provider.bench_check(
-                args.bench,
-                tolerance=0.2 if tolerance is None else tolerance,
-            )
-        else:
-            report = provider.regression_check(
-                args.metric,
-                tolerance=0.0 if tolerance is None else tolerance,
-                run=_axis_int("run", args.run),
-                baseline=_axis_int("baseline", args.baseline),
-            )
+        report = provider.regression_check(
+            args.metric,
+            tolerance=0.0 if tolerance is None else tolerance,
+            run=_axis_int("run", args.run),
+            baseline=_axis_int("baseline", args.baseline),
+        )
     print(report.render())
     return 0 if report.ok else 1
 

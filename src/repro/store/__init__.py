@@ -1,7 +1,7 @@
 """Persistent profile store: sqlite-backed, versioned, cross-run.
 
 The write side (:class:`StoreWriter`) ingests live results -- fleet
-runs, window streams, selftest verdicts, bench legs -- into the
+runs, window streams, selftest verdicts -- into the
 versioned schema (:mod:`repro.store.schema`); the read side
 (:class:`DataProvider`) answers typed queries and rehydrates stored
 runs byte-identically.  ``open_store`` is the one entry point user code

@@ -13,8 +13,8 @@
   derived surfaces (cycle breakdowns, uarch tables, counter noise) fall
   out of the same code paths as a live run.
 * **Cross-run analytics** -- :meth:`delta` diffs two stored runs
-  row-for-row, :meth:`regression_check` / :meth:`bench_check` compare a
-  run against its predecessor under a tolerance band (the CI gate).
+  row-for-row, :meth:`regression_check` compares a run against its
+  predecessor under a tolerance band (the CI gate).
 """
 
 from __future__ import annotations
@@ -257,34 +257,6 @@ class DataProvider:
         if content is None:
             raise StoreError(f"run {run.run_id} holds no table8 artifact")
         return Table8Result(**json.loads(content))
-
-    def bench_legs(self, mode: str | None = None) -> list[dict[str, Any]]:
-        sql = (
-            "SELECT leg_id, run_id, mode, engine, wall_seconds, samples,"
-            " samples_per_second, events_processed, events_per_second,"
-            " detail FROM bench_legs"
-        )
-        params: tuple = ()
-        if mode is not None:
-            sql += " WHERE mode = ?"
-            params = (mode,)
-        sql += " ORDER BY leg_id"
-        legs = []
-        for row in self.store.execute(sql, params):
-            leg = {
-                "leg_id": row[0],
-                "run_id": row[1],
-                "mode": row[2],
-                "engine": row[3],
-                "wall_seconds": row[4],
-                "samples": row[5],
-                "samples_per_second": row[6],
-                "events_processed": row[7],
-                "events_per_second": row[8],
-            }
-            leg["detail"] = json.loads(row[9])
-            legs.append(leg)
-        return legs
 
     def selftest_verdicts(self, run_id: int) -> list[dict[str, Any]]:
         return [
@@ -552,39 +524,6 @@ class DataProvider:
             metric=metric,
             run_id=target.run_id,
             baseline_id=base.run_id,
-            value=value,
-            baseline=base_value,
-            tolerance=tolerance,
-            ratio=ratio,
-            ok=ok,
-        )
-
-    def bench_check(
-        self, mode: str, *, tolerance: float = 0.2, metric: str = "samples_per_second"
-    ) -> RegressionReport:
-        """One-sided throughput gate over the two newest legs of ``mode``.
-
-        Fails only when the newest leg is more than ``tolerance`` slower
-        than its predecessor (speedups always pass -- wall-clock noise
-        runs one way in CI).
-        """
-        legs = [
-            leg for leg in self.bench_legs(mode) if leg.get(metric) is not None
-        ]
-        if len(legs) < 2:
-            raise StoreError(
-                f"need two {mode!r} bench legs with {metric!r} to compare, "
-                f"have {len(legs)}"
-            )
-        previous, newest = legs[-2], legs[-1]
-        value = float(newest[metric])
-        base_value = float(previous[metric])
-        ratio = 0.0 if base_value == 0 else (value - base_value) / base_value
-        ok = value >= base_value * (1.0 - tolerance)
-        return RegressionReport(
-            metric=f"{mode}.{metric}",
-            run_id=newest["run_id"],
-            baseline_id=previous["run_id"],
             value=value,
             baseline=base_value,
             tolerance=tolerance,

@@ -5,8 +5,10 @@ One store file holds many runs.  Every measurement surface a
 here -- interned sample columns mirroring the profiler's own layout,
 per-platform accumulator rows, query logs, Section-4.1 breakdowns,
 capacity telemetry, chaos ledgers, span rows, window snapshots -- plus
-run-history tables (selftest verdicts, bench legs) that turn one-shot
-artifacts like ``BENCH_fleet.json`` into a queryable time series.
+run-history tables (selftest verdicts).  The ``bench_legs`` table of a
+retired perf harness is no longer written; it stays in the DDL so v2/v3
+stores open unchanged and a fresh store has the same tables as a
+migrated one.
 
 Versioning policy (see ``docs/store.md``):
 
@@ -28,8 +30,8 @@ from repro.errors import StoreError
 __all__ = ["SCHEMA_VERSION", "V1_DDL", "MIGRATIONS", "ensure_schema", "schema_ddl"]
 
 #: Current schema version (stamped into ``PRAGMA user_version``).
-#: v3 adds ``bench_legs.events_per_second`` (the batched-IO harness
-#: records event throughput per leg, not just wall time).
+#: v3 adds ``bench_legs.events_per_second`` (per-leg event throughput of
+#: the retired perf harness; the table is no longer written).
 SCHEMA_VERSION = 3
 
 # -- table DDL ----------------------------------------------------------------
@@ -226,7 +228,8 @@ _V2_TABLES = {
             PRIMARY KEY (run_id, idx)
         )
     """,
-    # Perf-harness legs: the BENCH_fleet.json trajectory as rows.
+    # Legs of the retired perf harness: no longer written, kept so older
+    # stores and fresh ones share one table set.
     "bench_legs": """
         CREATE TABLE IF NOT EXISTS bench_legs (
             leg_id INTEGER PRIMARY KEY,

@@ -1,4 +1,4 @@
-"""Ingestion: fleet results, window streams, verdicts, and bench legs.
+"""Ingestion: fleet results, window streams, and verdicts.
 
 :class:`StoreWriter` turns live result objects into store rows.  Design
 rules:
@@ -393,7 +393,7 @@ class StoreWriter:
         finally:
             self.store.commit()
 
-    # -- validation / selftest / bench ---------------------------------------
+    # -- validation / selftest -----------------------------------------------
 
     def ingest_validation(
         self, table8, *, seed: int | None = None, label: str | None = None
@@ -422,47 +422,6 @@ class StoreWriter:
         self.store.executemany(
             "INSERT INTO selftest_verdicts (run_id, idx, ok, record)"
             " VALUES (?, ?, ?, ?)",
-            rows,
-        )
-        self.store.commit()
-        return run_id
-
-    def ingest_bench(self, report: Mapping[str, Any], *, label: str | None = None) -> int:
-        """Store one perf-harness report (the BENCH_fleet.json dict).
-
-        Every mode entry carrying ``wall_seconds`` becomes one
-        ``bench_legs`` row; the full leg dict rides along as JSON so the
-        committed-schema fields stay queryable without schema churn.
-        """
-        workload = report.get("workload", {})
-        run_id = self.begin_run(
-            "bench",
-            seed=workload.get("seed"),
-            config={"workload": dict(workload), "host": dict(report.get("host", {}))},
-            label=label,
-        )
-        rows = []
-        for mode, leg in report.items():
-            if not isinstance(leg, Mapping) or "wall_seconds" not in leg:
-                continue
-            rows.append(
-                (
-                    run_id,
-                    mode,
-                    leg.get("engine"),
-                    leg["wall_seconds"],
-                    leg.get("samples"),
-                    leg.get("samples_per_second"),
-                    leg.get("events_processed"),
-                    leg.get("events_per_second"),
-                    json.dumps(dict(leg), sort_keys=True, default=str),
-                )
-            )
-        self.store.executemany(
-            "INSERT INTO bench_legs (run_id, mode, engine, wall_seconds,"
-            " samples, samples_per_second, events_processed,"
-            " events_per_second, detail)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             rows,
         )
         self.store.commit()

@@ -3,9 +3,9 @@
 The first parallel runner sharded at *platform* granularity -- one
 subprocess per platform -- and was bounded by its slowest shard: BigQuery's
 three-orders-of-magnitude-longer queries made its worker the straggler
-while the OLTP workers sat idle (BENCH_fleet.json recorded the resulting
-0.57x "speedup" on a busy host).  This runner kills the straggler by
-scheduling the query-granular sub-shards of :mod:`repro.workloads.shards`:
+while the OLTP workers sat idle (a 0.57x "speedup" on a busy host).
+This runner kills the straggler by scheduling the query-granular
+sub-shards of :mod:`repro.workloads.shards`:
 
 * :class:`StealScheduler` holds one deque of jobs per platform (canonical
   query-index order), assigns each worker a *home* platform round-robin by

@@ -256,11 +256,16 @@ class TestReferenceLanes:
         config = FleetConfig(
             queries=QUERIES, seed=2, bigquery_dataset_rows=1500, shards=2
         )
-        production = snapshot(run_fleet(config), traces=True)
-        reference = snapshot(run_reference(config, (lane,)), traces=True)
+        production = run_fleet(config)
+        reference = run_reference(config, (lane,))
         assert diff_snapshots(
-            _mask_engine_events(production), _mask_engine_events(reference)
+            _mask_engine_events(snapshot(production, traces=True)),
+            _mask_engine_events(snapshot(reference, traces=True)),
         ) == []
+        if lane == CHUNKED_IO:
+            # The masked gauge is the one thing batching may move: one
+            # event per tier-contiguous leg instead of one per chunk.
+            assert _events(production) < _events(reference)
 
     def test_config_round_trips_lanes(self):
         sim = ReferenceFleetSimulation(queries=1, lanes=(CHUNKED_IO,))
@@ -275,6 +280,10 @@ class TestReferenceLanes:
     def test_pairs_still_registered(self):
         assert "coalescing" in MODE_PAIRS
         assert "batched-io" in MODE_PAIRS
+
+
+def _events(result) -> int:
+    return sum(p.env.events_processed for p in result.platforms.values())
 
 
 def _digest(value) -> str:

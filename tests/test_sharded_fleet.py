@@ -37,6 +37,7 @@ from repro.workloads.parallel import (
 )
 from repro.workloads.shards import (
     ShardSpec,
+    estimated_cost,
     plan_shards,
     resolve_shards,
     validate_shards,
@@ -206,6 +207,29 @@ class TestStealScheduler:
         assert any(stolen for _k, _s, stolen in taken)
         assert scheduler.pending() == 0
 
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_no_straggler_on_the_reference_workload(self, workers):
+        # Virtual-clock replay of the pool: each job takes its estimated
+        # cost, and the worker that frees up first asks for the next job.
+        queries = normalize_queries(60)
+        specs = plan_shards(queries, resolve_shards("auto", queries, workers=workers))
+        scheduler = StealScheduler(
+            [((s.platform, s.ordinal), s.platform, s) for s in specs], workers
+        )
+        busy = [0.0] * workers
+        free_at = [(0.0, worker) for worker in range(workers)]
+        while free_at:
+            now, worker = min(free_at)
+            free_at.remove((now, worker))
+            job = scheduler.next_job(worker)
+            if job is not None:
+                cost = estimated_cost(job[1])
+                busy[worker] += cost
+                free_at.append((now + cost, worker))
+        assert scheduler.pending() == 0
+        mean = sum(busy) / workers
+        assert max(busy) <= 1.5 * mean, busy
+
 
 class TestAutoFallback:
     """ISSUE satellite: --parallel can never silently be slower."""
@@ -314,15 +338,14 @@ class TestHarnessIntegration:
 
 
 class TestBenchSampleDrift:
-    """The BENCH_fleet.json sample drift is shard geometry, not sample loss.
+    """The sequential-vs-stealing sample drift is shard geometry, not loss.
 
-    The perf harness records 15,777 samples for the sequential leg and
-    15,649 for the work-stealing leg at the same (queries=60, seed=0)
-    workload.  The legs sit in different determinism classes: sequential
-    runs unsharded (one legacy RNG stream per platform), work stealing
-    runs ``shards="auto"`` (one stream per query, sampling clocks
-    re-phased at each shard boundary), so the jittered sampling clocks
-    land differently.  At *fixed* geometry the executor never moves a
+    The 60-query, seed-0 reference run yields 15,777 samples unsharded
+    and 15,649 under the ``shards="auto"`` geometry below.  The runs sit
+    in different determinism classes: unsharded runs use one legacy RNG
+    stream per platform, sharded ones one stream per query with sampling
+    clocks re-phased at each shard boundary, so the jittered sampling
+    clocks land differently.  At *fixed* geometry the executor never moves a
     sample: the stealing pool reproduces the sequential sharded run byte
     for byte.
     """
@@ -334,8 +357,8 @@ class TestBenchSampleDrift:
 
         # Pin the geometry instead of passing ``"auto"`` through: auto
         # resolves against the host's worker count, and sample counts move
-        # by +-1 per shard boundary -- the geometry below is the one the
-        # BENCH work-stealing leg recorded as 15,649.
+        # by +-1 per shard boundary -- the geometry below is the
+        # one-worker ``"auto"`` plan, pinned at 15,649.
         geometry = resolve_shards("auto", normalize_queries(60), workers=1)
         sharded = run_fleet(
             FleetConfig(queries=60, seed=0, engine="columnar", shards=geometry)

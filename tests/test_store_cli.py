@@ -7,8 +7,6 @@ store or missing artifact exits non-zero with a one-line explanation;
 ``--out -`` keeps stdout machine-readable.
 """
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -44,18 +42,6 @@ class TestIngest:
         ) == 0
         assert "ingested serve run 1 (4 windows)" in capsys.readouterr().out
 
-    def test_ingest_bench_report(self, tmp_path, capsys):
-        report = {
-            "workload": {"queries_per_platform": 5, "seed": 1},
-            "host": {"cpus": 2},
-            "sequential": {"wall_seconds": 1.0, "samples_per_second": 50.0},
-        }
-        source = tmp_path / "BENCH.json"
-        source.write_text(json.dumps(report))
-        path = tmp_path / "b.sqlite"
-        assert main(["store", "ingest", str(path), "--bench", str(source)]) == 0
-        assert "ingested bench run 1" in capsys.readouterr().out
-
 
 class TestTypedErrors:
     """Bad paths/queries are one ConfigError line, exit 2."""
@@ -68,7 +54,7 @@ class TestTypedErrors:
             (["tables", "{tmp}/absent.sqlite"], "no store at"),
             (["regress", "{tmp}/absent.sqlite"], "no store at"),
             (["ingest", "{tmp}/no_dir/p.sqlite"], "does not exist"),
-            (["ingest", "{tmp}/p.sqlite", "--bench", "{tmp}/nope.json"],
+            (["ingest", "{tmp}/no_dir/p.sqlite", "--serve", "10"],
              "does not exist"),
             (["ingest", "{tmp}/p.sqlite", "--serve", "10", "--shards", "2"],
              "--shards does not apply"),
@@ -96,8 +82,6 @@ class TestTypedErrors:
              "unknown regression metric"),
             (["regress", "{store}", "--tolerance", "-1"],
              "--tolerance must be >= 0"),
-            (["regress", "{store}", "--bench", "fleet"],
-             "need two 'fleet' bench legs"),
         ],
     )
     def test_bad_query_exits_2(self, argv, needle, store_path, capsys):

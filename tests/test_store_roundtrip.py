@@ -179,22 +179,6 @@ class TestApiWiring:
             back = DataProvider(store).table8_result(run_id)
         assert back == table8
 
-    def test_bench_report_round_trip(self):
-        report = {
-            "workload": {"queries_per_platform": 5, "seed": 1},
-            "host": {"cpus": 4},
-            "sequential": {"wall_seconds": 1.0, "samples": 100,
-                           "samples_per_second": 100.0},
-            "faster": {"wall_seconds": 0.5, "samples": 100,
-                       "samples_per_second": 200.0},
-        }
-        with ProfileStore(":memory:") as store:
-            StoreWriter(store).ingest_bench(report)
-            provider = DataProvider(store)
-            legs = provider.bench_legs()
-            assert {leg["mode"] for leg in legs} == {"sequential", "faster"}
-            assert legs[0]["detail"]["wall_seconds"] == legs[0]["wall_seconds"]
-
 
 class TestSchemaLifecycle:
     def fabricate_v1(self, path):
