@@ -128,7 +128,8 @@ class ChunkSpanBlock:
         self.lo = lo
         self.hi = hi
 
-    def materialize(self) -> list[Span]:
+    def rows(self) -> Iterator[tuple]:
+        """The block's chunk spans as compact rows (see :meth:`Trace.rows`)."""
         source = self.source
         ends = source.ends
         function_at = source.chunks.function_at
@@ -139,22 +140,22 @@ class ChunkSpanBlock:
         # Chunk 0's span starts at batch start (covering queue wait), chunk
         # k's at chunk k-1's end -- the same bounds the per-entry path emits.
         prev = source.start if lo == 0 else ends[lo - 1]
-        out = []
         for k in range(lo, self.hi):
             end = ends[k]
-            out.append(
-                Span(
-                    span_id=first + (k - lo),
-                    parent_id=parent_id,
-                    name=function_at(k),
-                    kind=SpanKind.CPU,
-                    start=prev,
-                    end=end,
-                    annotations={"node": node} if node is not None else None,
-                )
-            )
+            yield (first + (k - lo), parent_id, function_at(k), SpanKind.CPU, prev, end, node)
             prev = end
-        return out
+
+    def materialize(self) -> list[Span]:
+        return [_span_from_row(row) for row in self.rows()]
+
+
+def _span_from_row(row: tuple) -> Span:
+    """The :class:`Span` a compact chunk row stands for."""
+    span_id, parent_id, name, kind, start, end, node = row
+    return Span(
+        span_id, parent_id, name, kind, start, end,
+        {"node": node} if node is not None else None,
+    )
 
 
 class Trace:
@@ -261,16 +262,7 @@ class Trace:
         for index, span in enumerate(spans):
             row_type = type(span)
             if row_type is tuple:
-                span_id, parent_id, name, kind, start, end, node = span
-                span = Span(
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    name=name,
-                    kind=kind,
-                    start=start,
-                    end=end,
-                    annotations={"node": node} if node is not None else None,
-                )
+                span = _span_from_row(span)
                 if expanded is None:
                     spans[index] = span
                 else:
@@ -286,6 +278,33 @@ class Trace:
         if expanded is not None:
             self._spans = spans = expanded
         return tuple(spans)
+
+    def rows(self) -> Iterator[tuple]:
+        """Every span as a row ``(span_id, parent_id, name, kind, start,
+        end, annotations)``, in :attr:`spans` order, without creating or
+        caching :class:`Span` objects.
+
+        For a compact chunk row the last field is its node (a string, or
+        ``None``), standing for ``{"node": node}`` (or no annotations); for
+        a recorded :class:`Span` it is the annotations dict, or ``None``
+        when the span has none.
+        """
+        for span in self._spans:
+            row_type = type(span)
+            if row_type is tuple:
+                yield span
+            elif row_type is ChunkSpanBlock:
+                yield from span.rows()
+            else:
+                yield (
+                    span.span_id,
+                    span.parent_id,
+                    span.name,
+                    span.kind,
+                    span.start,
+                    span.end,
+                    span._annotations,
+                )
 
     def spans_of_kind(self, kind: SpanKind) -> Iterator[Span]:
         return (span for span in self.spans if span.kind is kind)

@@ -310,7 +310,11 @@ def ensure_schema(conn: sqlite3.Connection) -> None:
             f"store schema version {version} is newer than this reader "
             f"(supports <= {SCHEMA_VERSION}); upgrade repro to open it"
         )
+    # sqlite3 opens no implicit transaction before DDL, so without this
+    # BEGIN every statement would commit (and sync) on its own, and a
+    # failed migration would leave a half-migrated store at the old version.
     with conn:
+        conn.execute("BEGIN")
         if version == 0:
             for statement in schema_ddl(SCHEMA_VERSION):
                 conn.execute(statement)

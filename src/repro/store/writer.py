@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, is_dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
+from repro.profiling.dapper import SpanKind
 from repro.storage.device import DeviceKind
 from repro.store.core import ProfileStore
 
@@ -39,6 +40,50 @@ def _jsonable_config(config: Any) -> str | None:
         return json.dumps(config, sort_keys=True, default=str)
     except (TypeError, ValueError):
         return json.dumps(repr(config))
+
+
+_KIND_TEXT = {kind: kind.value for kind in SpanKind}
+
+
+def _span_rows(run_id: int, traced) -> Iterator[tuple]:
+    """``spans`` rows for ``(platform, finished traces)`` pairs.
+
+    Reads the tracers' compact rows (:meth:`Trace.rows`), so no span is
+    materialized.  The annotations text is exactly ``json.dumps(
+    dict(annotations), sort_keys=True, default=str)``; a node-only
+    annotation -- the one every CPU chunk carries -- is encoded once per
+    node.  A row without annotations stores ``"{}"``, while an explicit
+    ``{"node": None}`` stores ``'{"node": null}'``.
+    """
+    encode = json.JSONEncoder(sort_keys=True, default=str).encode
+    node_text: dict[str | None, str] = {}
+    kind_text = _KIND_TEXT
+    for name, traces in traced:
+        for trace_ord, trace in enumerate(traces):
+            for span_ord, (span_id, parent_id, span_name, kind, start, end,
+                           annotations) in enumerate(trace.rows()):
+                if annotations is None:
+                    text = "{}"
+                elif type(annotations) is dict and (
+                    len(annotations) != 1 or "node" not in annotations
+                ):
+                    text = encode(annotations)
+                else:
+                    node = (
+                        annotations["node"]
+                        if type(annotations) is dict
+                        else annotations
+                    )
+                    # Only str and None nodes are memoized: other values
+                    # may be unhashable, or hash equal yet encode apart.
+                    if node is None or type(node) is str:
+                        text = node_text.get(node)
+                        if text is None:
+                            text = node_text[node] = encode({"node": node})
+                    else:
+                        text = encode({"node": node})
+                yield (run_id, name, trace_ord, span_ord, span_id, parent_id,
+                       span_name, kind_text[kind], start, end, text)
 
 
 class StoreWriter:
@@ -287,44 +332,26 @@ class StoreWriter:
         )
 
     def _insert_traces(self, run_id: int, result) -> None:
-        trace_rows = []
-        span_rows = []
+        traced = []
         for name, platform in result.platforms.items():
             tracer = getattr(platform, "tracer", None)
-            if tracer is None:
-                continue
-            for ordinal, trace in enumerate(tracer.finished_traces()):
-                trace_rows.append(
-                    (run_id, name, ordinal, trace.trace_id, trace.name,
-                     trace.start, trace.end)
-                )
-                for span_ord, span in enumerate(trace.spans):
-                    span_rows.append(
-                        (
-                            run_id,
-                            name,
-                            ordinal,
-                            span_ord,
-                            span.span_id,
-                            span.parent_id,
-                            span.name,
-                            span.kind.value,
-                            span.start,
-                            span.end,
-                            json.dumps(dict(span.annotations), sort_keys=True,
-                                       default=str),
-                        )
-                    )
+            if tracer is not None:
+                traced.append((name, tracer.finished_traces()))
         self.store.executemany(
             "INSERT INTO traces (run_id, platform, ord, trace_id, name,"
             " start, end) VALUES (?, ?, ?, ?, ?, ?, ?)",
-            trace_rows,
+            (
+                (run_id, name, ordinal, trace.trace_id, trace.name,
+                 trace.start, trace.end)
+                for name, traces in traced
+                for ordinal, trace in enumerate(traces)
+            ),
         )
         self.store.executemany(
             "INSERT INTO spans (run_id, platform, trace_ord, ord, span_id,"
             " parent_id, name, kind, start, end, annotations)"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            span_rows,
+            _span_rows(run_id, traced),
         )
 
     # -- artifacts -----------------------------------------------------------

@@ -206,6 +206,37 @@ class TestSchemaLifecycle:
             store.execute("SELECT COUNT(*) FROM bench_legs")
             store.execute("SELECT COUNT(*) FROM selftest_verdicts")
 
+    def test_failed_migration_leaves_the_store_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "v1.sqlite"
+        self.fabricate_v1(path)
+        first, *_ = MIGRATIONS[1]
+        monkeypatch.setitem(
+            MIGRATIONS, 1, (first, "CREATE TABLE broken_migration (")
+        )
+        with pytest.raises(StoreError):
+            ProfileStore(path)
+        conn = sqlite3.connect(path)
+        try:
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            columns = {row[1] for row in conn.execute("PRAGMA table_info(runs)")}
+            tables = {
+                row[0]
+                for row in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+        finally:
+            conn.close()
+        assert version == 1
+        assert "label" not in columns
+        assert not {"bench_legs", "selftest_verdicts"} & tables
+        monkeypatch.undo()
+        with ProfileStore(path) as store:
+            assert store.schema_version == SCHEMA_VERSION
+            assert DataProvider(store).run(1).label is None
+
     def test_migrations_cover_every_old_version(self):
         assert set(MIGRATIONS) == set(range(1, SCHEMA_VERSION))
 
