@@ -6,12 +6,13 @@ from bisect import bisect_left as _bisect_left, bisect_right as _bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
 from itertools import islice
-from typing import Generator, Optional
+from operator import itemgetter
+from typing import Generator, Iterable, Optional
 
 import numpy as np
 
 from repro.cluster.network import Topology
-from repro.profiling.dapper import ChunkSpanBlock, Span, SpanKind, Trace
+from repro.profiling.dapper import BLOCK_MIN, ChunkSpanBlock, Span, SpanKind, Trace
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import (
     ColumnarEnvironment,
@@ -25,6 +26,7 @@ from repro.sim import (
 __all__ = ["NodeDown", "WorkContext", "ServerNode"]
 
 _CPU = SpanKind.CPU
+_first = itemgetter(0)
 
 
 class NodeDown(RuntimeError):
@@ -215,7 +217,42 @@ class ServerNode:
         for _, duration in chunks:
             if duration < 0:
                 raise ValueError("duration must be non-negative")
+        yield from self._coalesced(ctx, chunks, _BatchRecorder)
+
+    def compute_block(self, ctx: WorkContext, block) -> Generator:
+        """:meth:`compute_batch` for a chunk run held as a ChunkBlock.
+
+        Same contract and same coalescing invariants, but the run arrives
+        as a struct-of-arrays block (see
+        :class:`repro.platforms.common.ChunkBlock`) and its end times come
+        from one vectorized cumulative sum (bitwise equal to the iterative
+        ``t = t + d_k`` chain).  On the heap engine the boundaries fire
+        through a :class:`_BlockRecorder` in the event heap, whose drains of
+        at least ``BLOCK_MIN`` boundaries fold the profiler credit
+        vectorized and record one span block; a
+        :class:`~repro.sim.ColumnarEnvironment` keeps them in its calendar
+        queue instead, as one event block.
+        """
+        n = len(block)
+        if not n:
+            return
+        if not self.up:
+            raise NodeDown(self.name)
+        pool = self._core_pool
+        if pool.queue_length > 0 or pool.in_use + 1 >= pool.capacity:
+            yield from self.compute_batch(ctx, block.pairs())
+            return
+        if float(block.durations.min()) < 0:
+            raise ValueError("duration must be non-negative")
+        columnar = isinstance(self.env, ColumnarEnvironment)
+        yield from self._coalesced(
+            ctx, block, _ColumnarBatchRecorder if columnar else _BlockRecorder
+        )
+
+    def _coalesced(self, ctx: WorkContext, chunks, recorder_cls) -> Generator:
+        """Run validated chunks under one core grant and one timeout."""
         env = self.env
+        pool = self._core_pool
         start = env.now
         tenant = env.active_process
         registered = tenant is not None and tenant not in self._tenants
@@ -229,37 +266,19 @@ class ServerNode:
                 pool.cancel(grant)
                 raise
             service_start = env.now
-            t = service_start
-            ends: list[float] = []
-            append_end = ends.append
-            for _, duration in chunks:
-                t = t + duration
-                append_end(t)
-            parent = ctx.parent_span
             # The recorder keeps exactly ONE entry in the event heap: each
             # fire records its chunk and pushes the next boundary, using a
             # counter block reserved here so the (time, counter) order is
             # identical to pushing every boundary up front -- but the heap
             # stays small (one entry per active batch, not per pending chunk).
-            recorder = _BatchRecorder(
-                ctx.profiler,
-                ctx.platform,
-                ctx.trace,
-                parent.span_id if parent is not None else None,
-                self.name,
-                chunks,
-                ends,
-                start,
-                service_start,
-                env._queue,
-                env.reserve_counters(len(ends)),
-                pool._waiters,
+            recorder = recorder_cls(
+                ctx, self.name, chunks, start, service_start, env, pool._waiters
             )
+            t = recorder.ends[-1]
             resume_from = None
             try:
                 if t > service_start:
-                    _heappush(env._queue, (ends[0], recorder.base, recorder))
-                    recorder.env = env
+                    recorder.schedule(env)
                     timeout = env.timeout_at(t)
                     recorder.process = tenant
                     recorder.timeout = timeout
@@ -269,7 +288,7 @@ class ServerNode:
                 else:
                     # Zero-duration batch: record synchronously, in order,
                     # exactly like back-to-back zero-duration computes.
-                    for _ in ends:
+                    for _ in recorder.ends:
                         recorder()
                     recorder.cancelled = True
             except BaseException:
@@ -288,110 +307,6 @@ class ServerNode:
                 # queueing FIFO behind the waiter.
                 for function, duration in chunks[resume_from:]:
                     yield from self.compute(ctx, function, duration)
-        finally:
-            if registered:
-                self._tenants.discard(tenant)
-
-    def compute_block(self, ctx: WorkContext, block) -> Generator:
-        """Columnar counterpart of :meth:`compute_batch` for a ChunkBlock.
-
-        Same contract and same coalescing invariants, but the chunk run
-        arrives as a struct-of-arrays block (see
-        :class:`repro.platforms.common.ChunkBlock`): end times come from one
-        vectorized cumulative sum (bitwise equal to the iterative
-        ``t = t + d_k`` chain) and the boundary fires live in the engine's
-        calendar queue as one event block instead of one heap entry --
-        drained in bulk between ordinary events by
-        :class:`~repro.sim.ColumnarEnvironment`.
-
-        Falls back to :meth:`compute_batch` (which itself may fall back to
-        per-chunk :meth:`compute`) when the environment is not columnar or
-        the core is contended, so every measurement stays byte-identical to
-        the heap engine in every regime.
-        """
-        n = len(block)
-        if not n:
-            return
-        if not self.up:
-            raise NodeDown(self.name)
-        env = self.env
-        pool = self._core_pool
-        if (
-            not isinstance(env, ColumnarEnvironment)
-            or pool.queue_length > 0
-            or pool.in_use + 1 >= pool.capacity
-        ):
-            yield from self.compute_batch(ctx, block.pairs())
-            return
-        durations = block.durations
-        if float(durations.min()) < 0:
-            raise ValueError("duration must be non-negative")
-        start = env.now
-        tenant = env.active_process
-        registered = tenant is not None and tenant not in self._tenants
-        if registered:
-            self._tenants.add(tenant)
-        try:
-            grant = pool.request()
-            try:
-                yield grant
-            except Interrupt:
-                pool.cancel(grant)
-                raise
-            service_start = env.now
-            # Bitwise equal to the heap path's iterative `t = t + d_k` chain:
-            # cumsum performs the identical left-to-right float64 adds.
-            ends_arr = np.cumsum(
-                np.concatenate(((service_start,), durations))
-            )[1:]
-            ends = ends_arr.tolist()
-            t = ends[-1]
-            parent = ctx.parent_span
-            recorder = _ColumnarBatchRecorder(
-                ctx.profiler,
-                ctx.platform,
-                ctx.trace,
-                parent.span_id if parent is not None else None,
-                self.name,
-                block,
-                ends_arr,
-                ends,
-                start,
-                service_start,
-                env._queue,
-                env.reserve_counters(n),
-                pool._waiters,
-            )
-            resume_from = None
-            try:
-                if t > service_start:
-                    env.calendar.add(recorder)
-                    timeout = env.timeout_at(t)
-                    recorder.process = tenant
-                    recorder.timeout = timeout
-                    signal = yield timeout
-                    if type(signal) is _BatchPreempted:
-                        resume_from = signal.next_index
-                else:
-                    # Zero-duration batch: record synchronously, in order,
-                    # exactly like back-to-back zero-duration computes.
-                    for _ in range(n):
-                        recorder()
-                    recorder.cancelled = True
-            except BaseException:
-                # The block stays in the calendar; its next boundary drains
-                # as one counted no-op (the stale heap entry a cancelled
-                # _BatchRecorder leaves behind), keeping engine telemetry
-                # identical.
-                recorder.cancelled = True
-                raise
-            finally:
-                pool.release(grant)
-            if resume_from is not None:
-                for k in range(resume_from, n):
-                    yield from self.compute(
-                        ctx, block.function_at(k), float(durations[k])
-                    )
         finally:
             if registered:
                 self._tenants.discard(tenant)
@@ -465,35 +380,31 @@ class _BatchRecorder:
 
     def __init__(
         self,
-        profiler: Optional[FleetProfiler],
-        platform: str,
-        trace: Optional[Trace],
-        parent_id: Optional[int],
+        ctx: WorkContext,
         node_name: str,
-        chunks: list[tuple[str, float]],
-        ends: list[float],
+        chunks,
         start: float,
         service_start: float,
-        queue: list,
-        base: int,
+        env: Environment,
         waiters,
     ):
-        self.profiler = profiler
-        self.platform = platform
-        self.trace = trace
-        self.parent_id = parent_id
+        self.profiler = profiler = ctx.profiler
+        self.platform = platform = ctx.platform
+        self.trace = trace = ctx.trace
+        parent = ctx.parent_span
+        self.parent_id = parent.span_id if parent is not None else None
         self.node_name = node_name
-        #: The batch's (function, duration) chunks and their end times; the
-        #: k-th chunk runs [ends[k-1], ends[k]) (the first from
-        #: ``service_start``, its span from ``start`` to cover queue wait).
+        #: The batch's chunks and their end times; the k-th chunk runs
+        #: [ends[k-1], ends[k]) (the first from ``service_start``, its span
+        #: from ``start`` to cover queue wait).
         self.chunks = chunks
-        self.ends = ends
         self.start = start
         self.service_start = service_start
+        self.ends = self._end_times()
         #: The event heap plus this batch's reserved counter block; entry k
         #: is (ends[k], base + k) and is pushed by the (k-1)-th fire.
-        self.queue = queue
-        self.base = base
+        self.queue = env._queue
+        self.base = env.reserve_counters(len(self.ends))
         #: The core pool's wait deque; non-empty at a boundary => preempt.
         self.waiters = waiters
         #: The environment whose run loop may drain this batch; attached
@@ -515,6 +426,22 @@ class _BatchRecorder:
         if trace is not None:
             self.append_span = trace._spans.append
             self.next_span_id = trace._span_ids.__next__
+
+    def _end_times(self) -> list[float]:
+        # Accumulated iteratively, reproducing the floats of chained
+        # per-chunk timeouts.
+        t = self.service_start
+        ends: list[float] = []
+        append_end = ends.append
+        for _, duration in self.chunks:
+            t = t + duration
+            append_end(t)
+        return ends
+
+    def schedule(self, env: Environment) -> None:
+        """Put the first boundary in the event heap."""
+        _heappush(self.queue, (self.ends[0], self.base, self))
+        self.env = env
 
     def __call__(self) -> None:
         if self.cancelled:
@@ -553,7 +480,17 @@ class _BatchRecorder:
                 if j < n:
                     _heappush(self.queue, (ends[j], self.base + j, self))
         self.cursor = j
-        chunks = self.chunks
+        self._fire(i, j)
+        if preempt:
+            self._preempt(i + 1)
+
+    def _functions(self, i: int, j: int) -> Iterable[str]:
+        """The leaf-function names of chunks ``[i, j)``."""
+        return map(_first, self.chunks[i:j])
+
+    def _fire(self, i: int, j: int) -> None:
+        """Credit and span chunks ``[i, j)`` one by one, in order."""
+        ends = self.ends
         if i:
             span_start = prev = ends[i - 1]
         else:
@@ -575,9 +512,7 @@ class _BatchRecorder:
             node_name = self.node_name
         else:
             trace = None
-        for k in range(i, j):
-            end = ends[k]
-            function = chunks[k][0]
+        for function, end in zip(self._functions(i, j), ends[i:j]):
             if profiler is not None:
                 duration = end - prev
                 cpu_secs[pid] += duration
@@ -591,8 +526,6 @@ class _BatchRecorder:
                     (next_span_id(), parent_id, function, _CPU, span_start, end, node_name)
                 )
             span_start = prev = end
-        if preempt:
-            self._preempt(i + 1)
 
     def _preempt(self, next_index: int) -> None:
         """End the batch at this boundary: resume the process *now*.
@@ -624,60 +557,171 @@ class _BatchRecorder:
         process._resume(wakeup)
 
 
-class _ColumnarBatchRecorder(_BatchRecorder):
-    """A :class:`_BatchRecorder` that drains as a calendar-queue event block.
+class _BlockRecorder(_BatchRecorder):
+    """A :class:`_BatchRecorder` over a :class:`ChunkBlock` run.
+
+    Fires exactly like its parent -- same heap entry, same drain bounds,
+    same preemption -- but the chunks stay columns: names resolve through
+    the block's name table, and a drain of at least ``BLOCK_MIN``
+    boundaries neither touches the chunks one by one nor records them one
+    by one.  It folds the profiler credit vectorized (:meth:`_fold`) and
+    appends one :class:`ChunkSpanBlock` that consumes the same span-id
+    range the per-chunk rows would have.  Shorter drains and single fires
+    record per-chunk tuples as the parent does.
+    """
+
+    __slots__ = ("ends_arr", "prof_durs")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        #: Per-chunk durations as the folds see them, built on first use.
+        self.prof_durs = None
+
+    def _end_times(self) -> list[float]:
+        # Bitwise equal to the iterative `t = t + d_k` chain: cumsum performs
+        # the identical left-to-right float64 adds.  The numpy column serves
+        # the vectorized folds; ``ends`` stays a list of Python floats so
+        # per-chunk fires and span rows emit the values a list batch would.
+        self.ends_arr = np.cumsum(
+            np.concatenate(((self.service_start,), self.chunks.durations))
+        )[1:]
+        return self.ends_arr.tolist()
+
+    def _functions(self, i: int, j: int) -> Iterable[str]:
+        block = self.chunks
+        return map(block._name_table().__getitem__, block.perm[i:j].tolist())
+
+    def _fire(self, i: int, j: int) -> None:
+        if j - i < BLOCK_MIN:
+            super()._fire(i, j)
+            return
+        if self.profiler is not None:
+            self._fold(i, j)
+        self._append_block(i, j)
+
+    def _fold(self, i: int, j: int) -> None:
+        """Credit chunks ``[i, j)`` to the profiler in bulk.
+
+        Bitwise equal to the per-chunk fold of :meth:`_BatchRecorder._fire`:
+        durations are the same ``end - prev`` differences, CPU seconds and
+        credit are the same left-to-right float64 adds (plain Python for
+        short runs, cumsum partials otherwise), and each period crossing
+        enters the profiler with the same chunk, credit and time.
+        """
+        profiler = self.profiler
+        ends = self.ends
+        durs = self.prof_durs
+        if durs is None:
+            durs = self.prof_durs = np.diff(
+                np.concatenate(((self.service_start,), self.ends_arr))
+            )
+        pid = self.pid
+        cpu = self.cpu_secs
+        credits = self.credits
+        period = self.period
+        platform = self.platform
+        block = self.chunks
+        if j - i <= BLOCK_MIN:
+            # Short runs skip the numpy window machinery below, whose set-up
+            # costs more than it saves here; plain float adds are the same
+            # left-to-right fold.
+            dlist = durs[i:j].tolist()
+            acc = cpu[pid]
+            for d in dlist:
+                acc += d
+            cpu[pid] = acc
+            credit = credits[pid]
+            pos = i
+            while pos < j:
+                if credit >= period:
+                    # cumsum window opening at ``pos`` crosses at m=0.
+                    q = pos - 1
+                    prev = ends[q - 1] if q else self.service_start
+                    profiler._record_crossing(
+                        pid, platform, block.function_at(q), credit, prev
+                    )
+                    credit = credits[pid]
+                    continue
+                crossed = credit + dlist[pos - i]
+                if crossed >= period:
+                    prev = ends[pos - 1] if pos else self.service_start
+                    profiler._record_crossing(
+                        pid, platform, block.function_at(pos), crossed, prev
+                    )
+                    credit = credits[pid]
+                else:
+                    credit = crossed
+                pos += 1
+            credits[pid] = credit
+            return
+        cpu[pid] = float(np.cumsum(np.concatenate(((cpu[pid],), durs[i:j])))[-1])
+        credit = credits[pid]
+        pos = i
+        while pos < j:
+            remaining = j - pos
+            d_typ = durs[pos]
+            if d_typ > 0.0:
+                window = int((period - credit) / d_typ) + 2
+                if window > remaining:
+                    window = remaining
+                elif window < 1:
+                    window = 1
+            else:
+                window = remaining if remaining < 64 else 64
+            cs = np.cumsum(np.concatenate(((credit,), durs[pos : pos + window])))
+            m = int(np.searchsorted(cs, period, side="left"))
+            if m >= len(cs):
+                # No crossing in this window; cs[-1] equals the per-chunk
+                # running credit after these chunks.
+                credit = float(cs[-1])
+                pos += window
+                continue
+            q = pos + m - 1
+            prev = ends[q - 1] if q else self.service_start
+            profiler._record_crossing(
+                pid, platform, block.function_at(q), float(cs[m]), prev
+            )
+            credit = credits[pid]
+            pos = q + 1
+        credits[pid] = credit
+
+    def _append_block(self, i: int, j: int) -> None:
+        """Span chunks ``[i, j)`` as one compact row, unless the trace ended."""
+        trace = self.trace
+        if trace is not None and trace.end is None:
+            # Consume the span-id range the per-chunk rows would have, so ids
+            # stay aligned with spans recorded before and after this run.
+            ids = trace._span_ids
+            first = next(ids)
+            count = j - i
+            if count > 1:
+                next(islice(ids, count - 2, count - 1))
+            self.append_span(
+                ChunkSpanBlock(first, self.parent_id, self.node_name, self, i, j)
+            )
+
+
+class _ColumnarBatchRecorder(_BlockRecorder):
+    """A :class:`_BlockRecorder` that drains as a calendar-queue event block.
 
     Implements the :class:`~repro.sim.EventBlock` protocol over the same
-    cursor/ends state the heap recorder uses, so one instance serves both
-    lanes: registered with :meth:`ColumnarEnvironment.add_block` it fires
-    whole ``[cursor, j)`` ranges per drain with vectorized profiler math
-    and one compact span-block row; under contention, cancellation, or the
-    zero-duration path it falls back to the inherited per-entry
-    ``__call__`` -- heap semantics, byte for byte.
+    cursor/ends state: registered with :meth:`ColumnarEnvironment.add_block`
+    it fires whole ``[cursor, j)`` ranges per drain through the shared
+    :meth:`_fold` and one compact span-block row, whatever the range's
+    length; under contention, cancellation, or the zero-duration path it
+    falls back to the inherited per-entry ``__call__`` -- heap semantics,
+    byte for byte.
 
     Bulk-drain safety: a drain runs no simulation callbacks, so the core
     pool's waiter deque cannot change mid-drain; any heap event that could
     add a waiter bounds the drain instead, and the next drain re-checks.
     """
 
-    __slots__ = ("ends_arr", "prof_durs", "span_ids")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        profiler,
-        platform,
-        trace,
-        parent_id,
-        node_name,
-        block,
-        ends_arr,
-        ends,
-        start,
-        service_start,
-        queue,
-        base,
-        waiters,
-    ):
-        super().__init__(
-            profiler,
-            platform,
-            trace,
-            parent_id,
-            node_name,
-            block,
-            ends,
-            start,
-            service_start,
-            queue,
-            base,
-            waiters,
-        )
-        #: numpy view of ``ends`` for vectorized drains (``ends`` itself
-        #: stays a list of Python floats so inherited per-entry fires and
-        #: span materialization emit identical values to the heap engine).
-        self.ends_arr = ends_arr
-        self.prof_durs = None
-        self.span_ids = trace._span_ids if trace is not None else None
+    def schedule(self, env) -> None:
+        """Put the boundaries in the environment's calendar queue."""
+        env.calendar.add(self)
 
     # -- EventBlock protocol -------------------------------------------------
 
@@ -710,120 +754,14 @@ class _ColumnarBatchRecorder(_BatchRecorder):
             # either way, any remainder continues on the heap lane.
             self()
             return 1, ends[i], False
-        ends_arr = self.ends_arr
-        j = i + int(np.searchsorted(ends_arr[i:], stop_when, side="left"))
+        j = i + int(np.searchsorted(self.ends_arr[i:], stop_when, side="left"))
         base = self.base
         while j < n and ends[j] == stop_when and base + j < stop_count:
             j += 1
         if j == i:
             raise SimulationError("drain called without the smallest key")
-        profiler = self.profiler
-        if profiler is not None:
-            durs = self.prof_durs
-            if durs is None:
-                durs = self.prof_durs = np.diff(
-                    np.concatenate(((self.service_start,), ends_arr))
-                )
-            pid = self.pid
-            cpu = self.cpu_secs
-            credits = self.credits
-            period = self.period
-            platform = self.platform
-            block = self.chunks
-            if j - i <= 64:
-                # Crossing-dense drains (OLTP batches are a handful of chunks)
-                # skip the numpy window machinery below: plain Python float
-                # adds perform the identical left-to-right float64 fold, so
-                # cpu seconds, crossing values, and the carried credit are
-                # bitwise what the windowed cumsum path produces.
-                dlist = durs[i:j].tolist()
-                acc = cpu[pid]
-                for d in dlist:
-                    acc += d
-                cpu[pid] = acc
-                credit = credits[pid]
-                pos = i
-                while pos < j:
-                    if credit >= period:
-                        # cumsum window opening at ``pos`` crosses at m=0.
-                        q = pos - 1
-                        prev = ends[q - 1] if q else self.service_start
-                        profiler._record_crossing(
-                            pid, platform, block.function_at(q), credit, prev
-                        )
-                        credit = credits[pid]
-                        continue
-                    crossed = credit + dlist[pos - i]
-                    if crossed >= period:
-                        prev = ends[pos - 1] if pos else self.service_start
-                        profiler._record_crossing(
-                            pid, platform, block.function_at(pos), crossed, prev
-                        )
-                        credit = credits[pid]
-                    else:
-                        credit = crossed
-                    pos += 1
-                credits[pid] = credit
-                trace = self.trace
-                if trace is not None and trace.end is None:
-                    ids = self.span_ids
-                    first = next(ids)
-                    count = j - i
-                    if count > 1:
-                        next(islice(ids, count - 2, count - 1))
-                    self.append_span(
-                        ChunkSpanBlock(
-                            first, self.parent_id, self.node_name, self, i, j
-                        )
-                    )
-                self.cursor = j
-                return j - i, ends[j - 1], j < n
-            # Sequential fold: cumsum partials reproduce the heap engine's
-            # per-chunk `cpu_secs[pid] += duration` adds bitwise.
-            cpu[pid] = float(np.cumsum(np.concatenate(((cpu[pid],), durs[i:j])))[-1])
-            credit = credits[pid]
-            pos = i
-            while pos < j:
-                remaining = j - pos
-                d_typ = durs[pos]
-                if d_typ > 0.0:
-                    window = int((period - credit) / d_typ) + 2
-                    if window > remaining:
-                        window = remaining
-                    elif window < 1:
-                        window = 1
-                else:
-                    window = remaining if remaining < 64 else 64
-                cs = np.cumsum(
-                    np.concatenate(((credit,), durs[pos : pos + window]))
-                )
-                m = int(np.searchsorted(cs, period, side="left"))
-                if m >= len(cs):
-                    # No crossing in this window; cs[-1] equals the heap
-                    # engine's running credit after these chunks.
-                    credit = float(cs[-1])
-                    pos += window
-                    continue
-                q = pos + m - 1
-                prev = ends[q - 1] if q else self.service_start
-                profiler._record_crossing(
-                    pid, platform, block.function_at(q), float(cs[m]), prev
-                )
-                credit = credits[pid]
-                pos = q + 1
-            credits[pid] = credit
-        trace = self.trace
-        if trace is not None and trace.end is None:
-            # One compact row stands in for j-i chunk spans; consume the
-            # same span-id range the heap engine would so ids stay aligned
-            # with any spans recorded before/after this drain.
-            ids = self.span_ids
-            first = next(ids)
-            count = j - i
-            if count > 1:
-                next(islice(ids, count - 2, count - 1))
-            self.append_span(
-                ChunkSpanBlock(first, self.parent_id, self.node_name, self, i, j)
-            )
+        if self.profiler is not None:
+            self._fold(i, j)
+        self._append_block(i, j)
         self.cursor = j
         return j - i, ends[j - 1], j < n

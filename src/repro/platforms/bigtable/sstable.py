@@ -6,9 +6,13 @@ import bisect
 import hashlib
 import itertools
 import math
+import struct
 from typing import Any, Iterator, Sequence
 
 __all__ = ["BloomFilter", "SSTable"]
+
+#: The first 28 bytes of a SHA-256 digest as seven little-endian uint32s.
+_DIGEST_WORDS = struct.Struct("<7I")
 
 
 class BloomFilter:
@@ -30,22 +34,30 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.items_added = 0
 
-    def _positions(self, key: str) -> Iterator[int]:
-        digest = hashlib.sha256(key.encode()).digest()
-        for i in range(self.num_hashes):
-            chunk = digest[(4 * i) % 28 : (4 * i) % 28 + 4]
-            yield int.from_bytes(chunk, "little") % self.num_bits
+    def _positions(self, key: str) -> tuple[int, ...]:
+        # Hash i is the i-th little-endian 32-bit slice of the digest,
+        # cycling through its first 28 bytes: word i % 7.
+        words = _DIGEST_WORDS.unpack_from(hashlib.sha256(key.encode()).digest())
+        num_hashes = self.num_hashes
+        if num_hashes > 7:
+            words = (words * (num_hashes // 7 + 1))[:num_hashes]
+        elif num_hashes < 7:
+            words = words[:num_hashes]
+        num_bits = self.num_bits
+        return tuple([word % num_bits for word in words])
 
     def add(self, key: str) -> None:
+        bits = self._bits
         for position in self._positions(key):
-            self._bits[position // 8] |= 1 << (position % 8)
+            bits[position >> 3] |= 1 << (position & 7)
         self.items_added += 1
 
     def might_contain(self, key: str) -> bool:
-        return all(
-            self._bits[position // 8] & (1 << (position % 8))
-            for position in self._positions(key)
-        )
+        bits = self._bits
+        for position in self._positions(key):
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
 
 
 class SSTable:

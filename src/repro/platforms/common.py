@@ -24,7 +24,6 @@ running a slice of the CPU work concurrently with the dependency phase.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Mapping, Sequence
@@ -35,7 +34,7 @@ from repro.cluster.node import NodeDown, ServerNode, WorkContext
 from repro.cluster.rpc import RpcError
 from repro.core.profile import PlatformProfile, QueryGroupProfile
 from repro.platforms.functions import functions_for
-from repro.profiling.dapper import SpanKind, Tracer
+from repro.profiling.dapper import BLOCK_MIN, SpanKind, Tracer
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment, Interrupt, all_of
 
@@ -95,9 +94,10 @@ class CpuChunker:
         }
         self._chunk_seconds = chunk_seconds
         self._rng = rng or np.random.default_rng(0)
-        self._pool_cursor: dict[str, itertools.cycle] = {
-            key: itertools.cycle(functions_for(key)) for key in self._fractions
-        }
+        self._pools = {key: tuple(functions_for(key)) for key in self._fractions}
+        #: Rotation position per category: each category's chunks take the
+        #: next names of its function pool, wrapping around.
+        self._offsets = {key: 0 for key in self._fractions}
 
     def chunks(self, t_cpu: float) -> list[tuple[str, float]]:
         """Interleaved chunks covering ``t_cpu`` seconds in calibrated shares.
@@ -113,16 +113,22 @@ class CpuChunker:
         pieces: list[tuple[str, float]] = []
         chunk_seconds = self._chunk_seconds
         append = pieces.append
+        offsets = self._offsets
         for key, fraction in self._fractions.items():
             budget = fraction * t_cpu
-            cursor = self._pool_cursor[key].__next__
+            pool = self._pools[key]
+            size = len(pool)
+            offset = offsets[key]
             # Same floats as the naive min()-loop: full chunks subtract
             # iteratively and the remainder is whatever is left.
             while budget > chunk_seconds:
-                append((cursor(), chunk_seconds))
+                append((pool[offset], chunk_seconds))
+                offset = offset + 1 if offset + 1 < size else 0
                 budget -= chunk_seconds
             if budget > 0:
-                append((cursor(), budget))
+                append((pool[offset], budget))
+                offset = offset + 1 if offset + 1 < size else 0
+            offsets[key] = offset
         self._rng.shuffle(pieces)
         return pieces
 
@@ -166,7 +172,7 @@ def _expand_pool_segment(pool: tuple[str, ...], offset: int, count: int) -> tupl
 class ChunkBlock:
     """Struct-of-arrays chunk run: the columnar chunker's output.
 
-    Duck-types the ``list[(function, duration)]`` the heap chunker emits --
+    Duck-types the ``list[(function, duration)]`` the list chunker emits --
     ``len``, truthiness, indexing, slicing and iteration all yield identical
     values -- while storing durations in one shuffled float64 column.
     Function names are not materialized: ``perm`` maps shuffled positions
@@ -213,7 +219,7 @@ class ChunkBlock:
         return names
 
     def pairs(self, lo: int = 0) -> list[tuple[str, float]]:
-        """Materialize (function, duration) tuples -- the heap representation."""
+        """Materialize (function, duration) tuples -- the list representation."""
         names = self._name_table()
         return [
             (names[j], duration)
@@ -238,28 +244,26 @@ class ChunkBlock:
 
 
 class ColumnarCpuChunker(CpuChunker):
-    """A :class:`CpuChunker` emitting :class:`ChunkBlock` columns.
+    """A :class:`CpuChunker` emitting :class:`ChunkBlock` columns for large
+    budgets.
 
-    Byte-identical output to the heap chunker (same RNG draws, same float
+    Budgets under :data:`~repro.profiling.dapper.BLOCK_MIN` full chunks
+    (OLTP queries are) take the list chunker, whose plain Python is an
+    order of magnitude cheaper than numpy's per-call cost at that size.
+    Larger ones get byte-identical output (same RNG draws, same float
     chains, same function rotation) with vectorized construction: full-chunk
     runs are views into cached fill templates, the per-category chunk count
     comes from one cumulative sum reproducing the iterative
     ``budget -= chunk_seconds`` loop bitwise, and the shuffle permutes an
     index column (numpy's Fisher-Yates draws are identical for an array and
-    a list of the same length).
+    a list of the same length).  Both paths advance one rotation state, so
+    the cutoff depends on the budget alone.
     """
 
     #: chunk_seconds -> readonly constant columns, grown geometrically; every
     #: full-chunk run in every query is a view into these.
     _fill_cache: dict[float, np.ndarray] = {}
     _neg_cache: dict[float, np.ndarray] = {}
-
-    def __init__(self, component_fractions, *, chunk_seconds=100e-6, rng=None):
-        super().__init__(component_fractions, chunk_seconds=chunk_seconds, rng=rng)
-        self._pools = {key: tuple(functions_for(key)) for key in self._fractions}
-        #: Current rotation position per category (mirrors the base class's
-        #: itertools.cycle cursors, which have no readable position).
-        self._offsets = {key: 0 for key in self._fractions}
 
     @staticmethod
     def _column(cache: dict, value: float, count: int) -> np.ndarray:
@@ -271,18 +275,16 @@ class ColumnarCpuChunker(CpuChunker):
             cache[value] = arr
         return arr[:count]
 
-    def chunks(self, t_cpu: float) -> ChunkBlock:
-        if t_cpu < 0:
-            raise ValueError("t_cpu must be non-negative")
+    def chunks(self, t_cpu: float) -> list[tuple[str, float]] | ChunkBlock:
         chunk_seconds = self._chunk_seconds
+        if t_cpu < BLOCK_MIN * chunk_seconds:
+            # Fewer than BLOCK_MIN full chunks fit.  No chunk is longer than
+            # chunk_seconds, so every run of fewer than BLOCK_MIN chunks
+            # lands here.
+            return super().chunks(t_cpu)
         segments: list[tuple[int, tuple[str, ...], int]] = []
         columns: list[np.ndarray] = []
         total = 0
-        if t_cpu == 0:
-            # The heap path returns [] here *without* consuming a shuffle.
-            return ChunkBlock(
-                np.empty(0), np.empty(0, dtype=np.intp), (), 0
-            )
         for key, fraction in self._fractions.items():
             budget = fraction * t_cpu
             if budget > chunk_seconds:
@@ -327,7 +329,7 @@ class ColumnarCpuChunker(CpuChunker):
         cut = 0
         if n and first_budget > 0:
             # acc[k] is the running total after k+1 chunks (same float adds
-            # as the iterative loop); the heap path cuts at the first prefix
+            # as the iterative loop); the list path cuts at the first prefix
             # whose total reaches the budget.
             acc = np.cumsum(chunks.durations)
             i = int(np.searchsorted(acc, first_budget, side="left"))
@@ -399,7 +401,7 @@ class PlatformBase:
         self.offload_model = offload_model
         #: Execution engine lane ("heap" or "columnar"); see :meth:`set_engine`.
         self.engine = "heap"
-        self.chunker = CpuChunker(
+        self.chunker = ColumnarCpuChunker(
             profile.cpu_component_fractions, rng=np.random.default_rng(seed + 1)
         )
         self.records: list[QueryRecord] = []
@@ -438,21 +440,13 @@ class PlatformBase:
     def set_engine(self, engine: str) -> None:
         """Select the execution engine lane: ``"heap"`` or ``"columnar"``.
 
-        Columnar swaps the chunker for :class:`ColumnarCpuChunker` (same RNG
-        stream, struct-of-arrays output) so CPU runs flow through
-        :meth:`ServerNode.compute_block` into the calendar queue of a
-        :class:`~repro.sim.ColumnarEnvironment`.  Must be called before any
-        queries run: the chunker is rebuilt on a fresh ``seed + 1`` stream,
-        which only matches the heap engine's draws if nothing was drawn yet.
+        The chunker and its RNG stream are the same on both lanes; only the
+        environment differs (a :class:`~repro.sim.ColumnarEnvironment`
+        drains coalesced CPU runs from its calendar queue).
         """
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.engine = engine
-        chunker_cls = ColumnarCpuChunker if engine == "columnar" else CpuChunker
-        self.chunker = chunker_cls(
-            self.profile.cpu_component_fractions,
-            rng=np.random.default_rng(self.seed + 1),
-        )
 
     def seed_query_streams(self, index: int) -> None:
         """Rebase the plan and chunker RNGs onto per-query streams.
@@ -467,10 +461,7 @@ class PlatformBase:
         """
         root = self.seed & 0xFFFFFFFF
         self.rng = np.random.default_rng([root, 0x5EED, index])
-        chunker_cls = (
-            ColumnarCpuChunker if self.engine == "columnar" else CpuChunker
-        )
-        self.chunker = chunker_cls(
+        self.chunker = ColumnarCpuChunker(
             self.profile.cpu_component_fractions,
             rng=np.random.default_rng([root, 0xC41C, index]),
         )
@@ -613,9 +604,9 @@ class PlatformBase:
             if self.offload is None:
                 yield from node.compute_block(ctx, chunks)
                 return
-            # Offloaded runs use the heap representation -- they are
+            # Offloaded runs use the list representation -- they are
             # re-categorized anyway, and the materialized pairs are
-            # byte-identical to the heap chunker's.
+            # byte-identical to the list chunker's.
             chunks = chunks.pairs()
         else:
             chunks = list(chunks)

@@ -174,10 +174,11 @@ def trace_breakdown(
                     run_start, run_end = start, end
             continue
         if row_type is ChunkSpanBlock:
-            # A columnar drain's chunk run, read without materializing spans.
-            # The chunks abut exactly, so their positive spans collapse into
-            # one interval; raw_total folds the same positive durations the
-            # per-tuple path would add, via cumsum partials (bitwise equal).
+            # A drained chunk run, read without materializing spans.  The
+            # chunks abut exactly, so their positive spans collapse into
+            # one interval, and raw_total folds the same positive durations
+            # the per-tuple path would add, via cumsum partials (bitwise
+            # equal).
             src = span.source
             lo = span.lo
             hi = span.hi

@@ -15,7 +15,14 @@ import enum
 import itertools
 from typing import Iterable, Iterator
 
-__all__ = ["SpanKind", "Span", "ChunkSpanBlock", "Trace", "Tracer"]
+__all__ = ["SpanKind", "Span", "ChunkSpanBlock", "Trace", "Tracer", "BLOCK_MIN"]
+
+#: The chunk-run size from which CPU work is carried as columns: the chunker
+#: emits a ``ChunkBlock`` for budgets of at least this many full chunks, a
+#: heap drain of at least this many boundaries appends one
+#: :class:`ChunkSpanBlock`.  Shorter runs stay per-chunk lists and tuples,
+#: which are cheaper than numpy's call cost at that size.
+BLOCK_MIN = 64
 
 
 class SpanKind(enum.Enum):
@@ -109,13 +116,15 @@ class Span:
 class ChunkSpanBlock:
     """Compact span storage for one drained run of coalesced CPU chunks.
 
-    Appended by the columnar batch recorder: one row stands in for the
-    ``hi - lo`` chunk spans of one calendar-queue drain.  ``source`` is the
-    recorder itself (duck-typed: ``.ends`` -- Python-float chunk end times,
-    ``.start``, and ``.chunks.function_at``); span ids are the consecutive
-    range ``first_id .. first_id + (hi - lo) - 1`` consumed from the
-    trace's counter at drain time, so materialized spans are byte-identical
-    (ids, names, bounds, annotations) to the heap engine's per-chunk rows.
+    Appended by a block batch recorder: one row stands in for the ``hi -
+    lo`` chunk spans of one drain.  ``source`` is the recorder itself
+    (duck-typed: ``.ends`` -- Python-float chunk end times, ``.ends_arr``
+    -- the same as a numpy column, ``.start``, and ``.chunks`` -- the
+    ``ChunkBlock`` whose name table and ``perm`` give each chunk's
+    function).  Span ids are the consecutive range ``first_id ..
+    first_id + (hi - lo) - 1`` consumed from the trace's counter at drain
+    time, so materialized spans are byte-identical (ids, names, bounds,
+    annotations) to per-chunk tuple rows.
     """
 
     __slots__ = ("first_id", "parent_id", "node", "source", "lo", "hi")
@@ -132,21 +141,21 @@ class ChunkSpanBlock:
         """The block's chunk spans as compact rows (see :meth:`Trace.rows`)."""
         source = self.source
         ends = source.ends
-        function_at = source.chunks.function_at
+        block = source.chunks
         node = self.node
         parent_id = self.parent_id
-        first = self.first_id
         lo = self.lo
+        hi = self.hi
         # Chunk 0's span starts at batch start (covering queue wait), chunk
         # k's at chunk k-1's end -- the same bounds the per-entry path emits.
         prev = source.start if lo == 0 else ends[lo - 1]
-        for k in range(lo, self.hi):
-            end = ends[k]
-            yield (first + (k - lo), parent_id, function_at(k), SpanKind.CPU, prev, end, node)
+        names = block._name_table().__getitem__
+        perm = block.perm
+        span_id = self.first_id
+        for function, end in zip(map(names, perm[lo:hi].tolist()), ends[lo:hi]):
+            yield (span_id, parent_id, function, SpanKind.CPU, prev, end, node)
+            span_id += 1
             prev = end
-
-    def materialize(self) -> list[Span]:
-        return [_span_from_row(row) for row in self.rows()]
 
 
 def _span_from_row(row: tuple) -> Span:
@@ -163,9 +172,9 @@ class Trace:
 
     Internally ``_spans`` may hold three representations: full :class:`Span`
     objects, compact tuples ``(span_id, parent_id, name, kind, start,
-    end, node)`` appended by :meth:`record_chunk` on the CPU hot path, and
-    :class:`ChunkSpanBlock` rows appended by the columnar engine's batch
-    recorder (each standing in for a whole run of chunk spans).
+    end, node)`` appended by :meth:`record_chunk` and short batch drains on
+    the CPU hot path, and :class:`ChunkSpanBlock` rows appended by long
+    block drains (each standing in for a whole run of chunk spans).
     Compact rows are materialized into (cached) ``Span`` objects the first
     time :attr:`spans` is read, so every public API still deals in spans.
     """
@@ -272,11 +281,16 @@ class Trace:
                     # Block rows expand to multiple spans: rebuild the list
                     # (keeping the already-materialized prefix) and cache it.
                     expanded = spans[:index]
-                expanded.extend(span.materialize())
+                expanded.extend(map(_span_from_row, span.rows()))
+                # Let go of the block now, as the tuple path lets go of each
+                # tuple, so a run's columns are freed once all its blocks are
+                # expanded rather than after the whole trace.
+                spans[index] = None
             elif expanded is not None:
                 expanded.append(span)
         if expanded is not None:
-            self._spans = spans = expanded
+            # In place: a batch still recording appends to this very list.
+            spans[:] = expanded
         return tuple(spans)
 
     def rows(self) -> Iterator[tuple]:

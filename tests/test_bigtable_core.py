@@ -1,5 +1,7 @@
 """Tests for BigTable's LSM machinery and the platform simulator."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,37 @@ class TestBloomFilter:
             bloom.might_contain(f"absent{i}") for i in range(2000)
         )
         assert false_positives / 2000 < 0.05
+
+    # Bit positions of a few keys as the filter has always placed them: hash
+    # i is the little-endian uint32 at digest bytes (4*i) % 28, mod m.
+    PINNED = {
+        (100, 0.1): (3, {"row0-000001": (391, 440, 369), "": (69, 467, 372)}),
+        (100, 0.01): (7, {"key42": (438, 355, 753, 682, 556, 813, 224)}),
+        (1000, 0.001): (
+            10,
+            {"row0-000001": (1669, 6571, 1484, 10060, 5729, 3704, 13271, 1669, 6571, 1484)},
+        ),
+        (8, 1e-6): (
+            20,
+            {"key42": (10, 85, 109, 194, 20, 95, 68) * 2 + (10, 85, 109, 194, 20, 95)},
+        ),
+    }
+
+    @pytest.mark.parametrize("sizing", sorted(PINNED))
+    def test_positions_are_pinned(self, sizing):
+        bloom = BloomFilter(*sizing)
+        num_hashes, pinned = self.PINNED[sizing]
+        assert bloom.num_hashes == num_hashes
+        for key, positions in pinned.items():
+            assert bloom._positions(key) == positions
+        for key in ("row0-000001", "key42", "", "row3-004095", "\u00e9t\u00e9"):
+            digest = hashlib.sha256(key.encode()).digest()
+            formula = tuple(
+                int.from_bytes(digest[(4 * i) % 28 : (4 * i) % 28 + 4], "little")
+                % bloom.num_bits
+                for i in range(bloom.num_hashes)
+            )
+            assert bloom._positions(key) == formula
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -12,13 +12,15 @@ a waiter that arrives mid-batch.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import FleetConfig, ServeConfig, run_fleet, run_service
 from repro.cluster import ServerNode, Topology, WorkContext
 from repro.faults import platform_chaos_plan
 from repro.observability.exporters import window_jsonl
-from repro.profiling.dapper import Trace
+from repro.platforms.common import ChunkBlock
+from repro.profiling.dapper import BLOCK_MIN, ChunkSpanBlock, Span, SpanKind, Trace
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment
 from repro.testing import diff_snapshots, sample_rows, snapshot, span_rows
@@ -92,11 +94,22 @@ class TestServiceParity:
 
 class TestFastPathStaysOn:
     def test_olap_fires_inline(self):
-        env = run_fleet(FleetConfig(queries={"BigQuery": 1}, seed=1)).platforms[
+        platform = run_fleet(FleetConfig(queries={"BigQuery": 1}, seed=1)).platforms[
             "BigQuery"
-        ].env
+        ]
+        env = platform.env
         assert env.inline_fires >= 0.95 * env.events_processed
         assert "inline_fires" not in env.stats()
+        # ... and the chunks those fires report ride in span blocks.
+        (trace,) = platform.tracer.finished_traces()
+        rows = trace._spans
+        in_blocks = sum(row.hi - row.lo for row in rows if type(row) is ChunkSpanBlock)
+        one_by_one = sum(
+            1
+            for row in rows
+            if type(row) is tuple or (type(row) is Span and row.kind is SpanKind.CPU)
+        )
+        assert in_blocks >= 0.95 * (in_blocks + one_by_one)
 
 
 CHUNKS = [("a::One", 1.0), ("b::Two", 1.0), ("c::Three", 1.0), ("d::Four", 1.0)]
@@ -189,6 +202,39 @@ class TestDrainEdges:
         observed = run(batched=True)
         assert [row[2] for row in observed[1]] == [name for name, _ in chunks]
         assert run(batched=False) == observed
+
+    def test_trace_finished_mid_block_drops_late_spans(self):
+        n = 2 * BLOCK_MIN + 8
+        block = ChunkBlock(
+            np.ones(n), np.arange(n), ((0, ("a::One", "b::Two", "c::Three"), 1),), n
+        )
+        finish_at = BLOCK_MIN + 20.5
+
+        def run(drain: bool):
+            env, node, profiler, trace, ctx = _node(drain)
+            env.schedule_call(finish_at, lambda: trace.finish(env.now))
+            env.run(until=env.process(node.compute_block(ctx, block)))
+            kinds = [type(row) for row in trace._spans]
+            observed = (
+                env.now,
+                env.events_processed,
+                profiler.cpu_seconds("Spanner"),
+                span_rows(trace),
+                sample_rows(profiler),
+                next(trace._span_ids),
+            )
+            return kinds, env.inline_fires, observed
+
+        kinds, fired, observed = run(drain=True)
+        # One drain up to the finish records a block; the drain after it
+        # credits the profiler but records no spans and takes no span ids.
+        assert kinds == [ChunkSpanBlock]
+        assert fired == n - 2
+        now, _, cpu_seconds, spans, _, next_id = observed
+        assert now == cpu_seconds == n
+        assert len(spans) == next_id == BLOCK_MIN + 20
+        assert max(row[5] for row in spans) < finish_at
+        assert run(drain=False) == ([tuple] * (BLOCK_MIN + 20), 0, observed)
 
     def test_mid_batch_waiter_preempts_at_same_boundary(self):
         def run(drain: bool):

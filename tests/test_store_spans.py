@@ -16,6 +16,7 @@ from repro import api
 from repro.faults import canned_mixed_scenario
 from repro.profiling.dapper import ChunkSpanBlock, SpanKind, Trace
 from repro.store import ProfileStore, StoreWriter
+from repro.testing.lanes import PER_BOUNDARY, run_reference
 
 SPAN_COLUMNS = (
     "run_id, platform, trace_ord, ord, span_id, parent_id, name, kind,"
@@ -23,7 +24,7 @@ SPAN_COLUMNS = (
 )
 TRACE_COLUMNS = "run_id, platform, ord, trace_id, name, start, end"
 
-#: A columnar run of this config records BigQuery's chunks as span blocks.
+#: A run of this config records BigQuery's chunks as span blocks.
 MIXED = api.FleetConfig(
     queries={"Spanner": 4, "BigTable": 4, "BigQuery": 1},
     seed=3,
@@ -138,10 +139,17 @@ def test_columnar_fleet_block_rows_match(columnar_fleet):
 
 
 def test_block_rows_store_what_the_heap_engine_stores(columnar_fleet):
-    # An oracle independent of ChunkSpanBlock: the heap engine records the
-    # same chunks as compact tuples, and must store the same rows.
-    heap = api.run_fleet(MIXED.with_overrides(engine="heap"))
-    assert stored_rows(columnar_fleet) == stored_rows(heap)
+    # An oracle independent of ChunkSpanBlock: the heap engine popping each
+    # chunk boundary on its own (the per-boundary lane) records the same
+    # chunks as compact tuples, and block rows must store the same rows --
+    # the columnar engine's and the draining heap engine's alike.
+    per_chunk = run_reference(MIXED, lanes=(PER_BOUNDARY,))
+    assert not any(type(row) is ChunkSpanBlock for row in raw_rows(per_chunk))
+    heap = api.run_fleet(MIXED)
+    assert any(type(row) is ChunkSpanBlock for row in raw_rows(heap))
+    want = stored_rows(per_chunk)
+    assert stored_rows(columnar_fleet) == want
+    assert stored_rows(heap) == want
 
 
 def test_fault_fleet_error_annotations_match():
