@@ -21,10 +21,6 @@ class UnitStats:
     def utilization(self, elapsed: float) -> float:
         return self.busy_seconds / elapsed if elapsed > 0 else 0.0
 
-    @property
-    def mean_queue_delay(self) -> float:
-        return self.queued_seconds / self.invocations if self.invocations else 0.0
-
 
 @dataclass
 class AcceleratorUnit:

@@ -139,11 +139,9 @@ class FleetConfig:
     bigquery_dataset_rows: int = 4000
     fault_plans: Mapping[str, Any] | None = None
     observability: ObservabilityConfig | Mapping[str, float] | bool | None = None
-    #: Event-engine lane: ``"heap"`` (one heappop per event) or
-    #: ``"columnar"`` (SoA event blocks drained in time-bucketed batches by
-    #: a calendar queue).  Measurements are byte-identical either way --
-    #: the ``engine`` differential pair in ``repro selftest`` and the
-    #: exporter goldens enforce it.
+    #: Event engine: ``"heap"`` is the only valid value.  Its block drain
+    #: is checked against the per-boundary lane by the ``engine``
+    #: differential pair in ``repro selftest``.
     engine: str = "heap"
     #: The storage read path every run ships with -- provenance, not a
     #: setting (only chaos wiring and :mod:`repro.testing.lanes` switch a
@@ -349,8 +347,7 @@ class ServeConfig:
     #: Extra windows allowed after ``duration`` for in-flight queries to
     #: finish before the stream ends regardless.
     drain_windows: int = 50
-    #: Event-engine lane, as on :class:`FleetConfig`; snapshots are
-    #: byte-identical either way (the ``service`` differential pair).
+    #: Event engine, as on :class:`FleetConfig`: only ``"heap"``.
     engine: str = "heap"
 
     def with_overrides(self, **overrides) -> "ServeConfig":
@@ -452,7 +449,7 @@ def run_service(
     windows so memory stays bounded over arbitrarily long runs.  The
     config is validated (typed :class:`ConfigError`) before any
     simulation state is built; for a fixed seed the snapshot stream is
-    byte-identical across the heap and columnar engines.
+    byte-identical to the per-boundary reference lane's.
 
     ``store`` mirrors :func:`run_fleet`: each window is persisted (as
     its canonical JSONL body) into one ``serve`` run as it streams past,

@@ -153,9 +153,8 @@ def _add_axis_flags(
         "--engine",
         default=engine_default,
         metavar="|".join(ENGINES),
-        help="discrete-event engine for the simulation inner loop: the "
-        "reference binary heap, or the batched columnar calendar queue "
-        "(byte-identical measurements, lower wall-clock)",
+        help="discrete-event engine for the simulation inner loop (only "
+        "the binary heap remains)",
     )
 
 
@@ -416,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     selftest.add_argument("--seed", default=0, help="fuzzer seed")
     # Axis pins: fix one config axis across every fuzzed config (the fuzzer
-    # still draws the rest).  No default pin for --engine here -- the engine
-    # differential pair needs both engines free to flip.
+    # still draws the rest).
     _add_axis_flags(selftest, engine_default=None)
     selftest.add_argument(
         "--jsonl",

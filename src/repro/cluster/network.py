@@ -202,9 +202,6 @@ class NetworkFabric:
 
     # -- cost model ----------------------------------------------------------
 
-    def one_way_latency(self, src: Topology, dst: Topology) -> float:
-        return self.latency[src.locality_to(dst)]
-
     def _route(self, src: Topology, dst: Topology) -> tuple:
         """Resolve and cache the effective (latency, bandwidth, partitioned)."""
         partitioned = bool(self._partitions) and self.is_partitioned(src, dst)

@@ -14,14 +14,7 @@ import numpy as np
 from repro.cluster.network import Topology
 from repro.profiling.dapper import BLOCK_MIN, ChunkSpanBlock, Span, SpanKind, Trace
 from repro.profiling.gwp import FleetProfiler
-from repro.sim import (
-    ColumnarEnvironment,
-    Environment,
-    Event,
-    Interrupt,
-    Resource,
-    SimulationError,
-)
+from repro.sim import Environment, Event, Interrupt, Resource
 
 __all__ = ["NodeDown", "WorkContext", "ServerNode"]
 
@@ -105,10 +98,6 @@ class ServerNode:
         if self.cores < 1:
             raise ValueError("a node needs at least one core")
         self._core_pool = Resource(self.env, capacity=self.cores)
-
-    @property
-    def core_utilization(self) -> float:
-        return self._core_pool.utilization()
 
     @property
     def runnable_backlog(self) -> int:
@@ -226,12 +215,10 @@ class ServerNode:
         as a struct-of-arrays block (see
         :class:`repro.platforms.common.ChunkBlock`) and its end times come
         from one vectorized cumulative sum (bitwise equal to the iterative
-        ``t = t + d_k`` chain).  On the heap engine the boundaries fire
-        through a :class:`_BlockRecorder` in the event heap, whose drains of
-        at least ``BLOCK_MIN`` boundaries fold the profiler credit
-        vectorized and record one span block; a
-        :class:`~repro.sim.ColumnarEnvironment` keeps them in its calendar
-        queue instead, as one event block.
+        ``t = t + d_k`` chain).  The boundaries fire through a
+        :class:`_BlockRecorder` in the event heap, whose drains of at least
+        ``BLOCK_MIN`` boundaries fold the profiler credit vectorized and
+        record one span block.
         """
         n = len(block)
         if not n:
@@ -244,10 +231,7 @@ class ServerNode:
             return
         if float(block.durations.min()) < 0:
             raise ValueError("duration must be non-negative")
-        columnar = isinstance(self.env, ColumnarEnvironment)
-        yield from self._coalesced(
-            ctx, block, _ColumnarBatchRecorder if columnar else _BlockRecorder
-        )
+        yield from self._coalesced(ctx, block, _BlockRecorder)
 
     def _coalesced(self, ctx: WorkContext, chunks, recorder_cls) -> Generator:
         """Run validated chunks under one core grant and one timeout."""
@@ -409,7 +393,7 @@ class _BatchRecorder:
         self.waiters = waiters
         #: The environment whose run loop may drain this batch; attached
         #: only once the first boundary sits in the heap, so synchronous
-        #: calls (zero-duration batches, columnar fallbacks) fire one chunk.
+        #: calls (zero-duration batches) fire one chunk.
         self.env = None
         self.process = None
         self.timeout = None
@@ -604,9 +588,9 @@ class _BlockRecorder(_BatchRecorder):
 
         Bitwise equal to the per-chunk fold of :meth:`_BatchRecorder._fire`:
         durations are the same ``end - prev`` differences, CPU seconds and
-        credit are the same left-to-right float64 adds (plain Python for
-        short runs, cumsum partials otherwise), and each period crossing
-        enters the profiler with the same chunk, credit and time.
+        credit are the same left-to-right float64 adds (cumsum partials),
+        and each period crossing enters the profiler with the same chunk,
+        credit and time.
         """
         profiler = self.profiler
         ends = self.ends
@@ -621,39 +605,6 @@ class _BlockRecorder(_BatchRecorder):
         period = self.period
         platform = self.platform
         block = self.chunks
-        if j - i <= BLOCK_MIN:
-            # Short runs skip the numpy window machinery below, whose set-up
-            # costs more than it saves here; plain float adds are the same
-            # left-to-right fold.
-            dlist = durs[i:j].tolist()
-            acc = cpu[pid]
-            for d in dlist:
-                acc += d
-            cpu[pid] = acc
-            credit = credits[pid]
-            pos = i
-            while pos < j:
-                if credit >= period:
-                    # cumsum window opening at ``pos`` crosses at m=0.
-                    q = pos - 1
-                    prev = ends[q - 1] if q else self.service_start
-                    profiler._record_crossing(
-                        pid, platform, block.function_at(q), credit, prev
-                    )
-                    credit = credits[pid]
-                    continue
-                crossed = credit + dlist[pos - i]
-                if crossed >= period:
-                    prev = ends[pos - 1] if pos else self.service_start
-                    profiler._record_crossing(
-                        pid, platform, block.function_at(pos), crossed, prev
-                    )
-                    credit = credits[pid]
-                else:
-                    credit = crossed
-                pos += 1
-            credits[pid] = credit
-            return
         cpu[pid] = float(np.cumsum(np.concatenate(((cpu[pid],), durs[i:j])))[-1])
         credit = credits[pid]
         pos = i
@@ -700,68 +651,3 @@ class _BlockRecorder(_BatchRecorder):
                 ChunkSpanBlock(first, self.parent_id, self.node_name, self, i, j)
             )
 
-
-class _ColumnarBatchRecorder(_BlockRecorder):
-    """A :class:`_BlockRecorder` that drains as a calendar-queue event block.
-
-    Implements the :class:`~repro.sim.EventBlock` protocol over the same
-    cursor/ends state: registered with :meth:`ColumnarEnvironment.add_block`
-    it fires whole ``[cursor, j)`` ranges per drain through the shared
-    :meth:`_fold` and one compact span-block row, whatever the range's
-    length; under contention, cancellation, or the zero-duration path it
-    falls back to the inherited per-entry ``__call__`` -- heap semantics,
-    byte for byte.
-
-    Bulk-drain safety: a drain runs no simulation callbacks, so the core
-    pool's waiter deque cannot change mid-drain; any heap event that could
-    add a waiter bounds the drain instead, and the next drain re-checks.
-    """
-
-    __slots__ = ()
-
-    def schedule(self, env) -> None:
-        """Put the boundaries in the environment's calendar queue."""
-        env.calendar.add(self)
-
-    # -- EventBlock protocol -------------------------------------------------
-
-    @property
-    def next_when(self) -> float:
-        cursor = self.cursor
-        ends = self.ends
-        return ends[cursor] if cursor < len(ends) else float("inf")
-
-    @property
-    def next_count(self) -> int:
-        return self.base + self.cursor
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.ends)
-
-    def drain(self, stop_when: float, stop_count) -> tuple[int, float, bool]:
-        ends = self.ends
-        n = len(ends)
-        i = self.cursor
-        if self.cancelled:
-            # The stale boundary the heap engine would still pop as a no-op
-            # after an interrupt: one counted event, then the block is gone.
-            return 1, ends[i], False
-        if self.waiters:
-            # A competitor queued for a core: this boundary gets per-entry
-            # heap semantics (__call__ preempts the batch or pushes the next
-            # boundary onto the event heap); the block leaves the calendar
-            # either way, any remainder continues on the heap lane.
-            self()
-            return 1, ends[i], False
-        j = i + int(np.searchsorted(self.ends_arr[i:], stop_when, side="left"))
-        base = self.base
-        while j < n and ends[j] == stop_when and base + j < stop_count:
-            j += 1
-        if j == i:
-            raise SimulationError("drain called without the smallest key")
-        if self.profiler is not None:
-            self._fold(i, j)
-        self._append_block(i, j)
-        self.cursor = j
-        return j - i, ends[j - 1], j < n

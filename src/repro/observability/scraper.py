@@ -90,10 +90,6 @@ class Scraper:
         self.series = TimeSeries()
         self._running = False
 
-    @property
-    def scrape_count(self) -> int:
-        return len(self.series)
-
     def start(self) -> "Scraper":
         if self._running:
             raise RuntimeError("scraper already started")

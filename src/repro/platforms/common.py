@@ -47,8 +47,8 @@ __all__ = [
     "QueryRecord",
 ]
 
-#: Valid values for ``PlatformBase.set_engine`` / ``FleetConfig.engine``.
-ENGINES = ("heap", "columnar")
+#: Valid values for ``FleetConfig.engine`` / ``ServeConfig.engine``.
+ENGINES = ("heap",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,8 +399,6 @@ class PlatformBase:
         #: acceleration studies.
         self.offload = offload
         self.offload_model = offload_model
-        #: Execution engine lane ("heap" or "columnar"); see :meth:`set_engine`.
-        self.engine = "heap"
         self.chunker = ColumnarCpuChunker(
             profile.cpu_component_fractions, rng=np.random.default_rng(seed + 1)
         )
@@ -436,17 +434,6 @@ class PlatformBase:
 
     def default_kind_for(self, group: QueryGroupProfile) -> str:
         return "query"
-
-    def set_engine(self, engine: str) -> None:
-        """Select the execution engine lane: ``"heap"`` or ``"columnar"``.
-
-        The chunker and its RNG stream are the same on both lanes; only the
-        environment differs (a :class:`~repro.sim.ColumnarEnvironment`
-        drains coalesced CPU runs from its calendar queue).
-        """
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        self.engine = engine
 
     def seed_query_streams(self, index: int) -> None:
         """Rebase the plan and chunker RNGs onto per-query streams.

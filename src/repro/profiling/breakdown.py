@@ -13,15 +13,12 @@ Two aggregations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from repro import taxonomy
 from repro.profiling.dapper import ChunkSpanBlock, SpanKind, Trace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.profiling.gwp import CpuSample
 
 __all__ = [
     "QueryBreakdown",
@@ -313,24 +310,6 @@ class E2EBreakdown:
     def overall_breakdown(self) -> dict[str, float]:
         return self.group_time_breakdown(None)
 
-    def mean_overlap_factor(self) -> float:
-        """The measured Equation 1 sync factor ``f``.
-
-        ``f = 1 - hidden_overlap / min(t_cpu_true, t_dep_true)`` per query,
-        averaged weighted by end-to-end time.  The *true* CPU time is the
-        attributed CPU time plus the hidden overlap.
-        """
-        weighted = 0.0
-        total = 0.0
-        for q in self.queries:
-            t_cpu_true = q.t_cpu + q.overlap_hidden
-            t_dep = q.t_remote + q.t_io
-            floor = min(t_cpu_true, t_dep)
-            f = 1.0 if floor <= 0 else max(0.0, 1.0 - q.overlap_hidden / floor)
-            weighted += f * q.t_e2e
-            total += q.t_e2e
-        return weighted / total if total else 1.0
-
 
 @dataclass
 class CpuCycleBreakdown:
@@ -343,10 +322,6 @@ class CpuCycleBreakdown:
         self.cycles_by_category[category_key] = (
             self.cycles_by_category.get(category_key, 0.0) + cycles
         )
-
-    def add_samples(self, samples: Iterable["CpuSample"]) -> None:
-        for sample in samples:
-            self.add_sample(sample.category_key, sample.cycles)
 
     @property
     def total_cycles(self) -> float:

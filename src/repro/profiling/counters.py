@@ -203,11 +203,6 @@ class CounterAggregate:
             return 0.0
         return self.misses.get(event, 0.0) / self.instructions * 1000.0
 
-    def as_rates(self) -> CounterRates:
-        return CounterRates(
-            ipc=self.ipc, **{event: self.mpki(event) for event in EVENT_NAMES}
-        )
-
 
 class StallModel:
     """IPC from miss rates: ``CPI = base + sum_e penalty_e * MPKI_e / 1000``.

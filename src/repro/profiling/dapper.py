@@ -32,11 +32,6 @@ class SpanKind(enum.Enum):
     IO = "io"
     REMOTE = "remote"
 
-    @property
-    def attribution_priority(self) -> int:
-        """Lower wins when intervals overlap (Section 4.1: remote, IO, CPU)."""
-        return {SpanKind.REMOTE: 0, SpanKind.IO: 1, SpanKind.CPU: 2}[self]
-
 
 class Span:
     """One timed interval within a trace.

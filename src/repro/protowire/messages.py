@@ -17,7 +17,6 @@ each family, which the SoC validation benchmark serializes and hashes.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from repro.protowire.descriptor import (
     FieldDescriptor,
@@ -221,7 +220,3 @@ class MessageCorpus:
             message.add("cells", self._inner())
         return message
 
-
-def total_serialized_bytes(messages: Iterable[Message]) -> int:
-    """Convenience: bytes across a batch once serialized."""
-    return sum(len(message.serialize()) for message in messages)

@@ -23,12 +23,6 @@ Public surface:
   pipeline FIFOs between chained accelerators).
 """
 
-from repro.sim.columnar import (
-    CalendarQueue,
-    CallBlock,
-    ColumnarEnvironment,
-    EventBlock,
-)
 from repro.sim.engine import (
     Environment,
     Event,
@@ -44,10 +38,6 @@ from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Environment",
-    "ColumnarEnvironment",
-    "CalendarQueue",
-    "EventBlock",
-    "CallBlock",
     "Event",
     "Timeout",
     "Process",

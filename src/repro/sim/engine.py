@@ -294,23 +294,6 @@ class Environment:
         self._counter = count + 1
         _heappush(self._queue, (when, count, fn))
 
-    def schedule_calls(self, times: Iterable[float], fn: Callable[[], None]) -> None:
-        """Bulk :meth:`schedule_call`: one invocation of ``fn`` per time.
-
-        Equivalent to ``for when in times: schedule_call(when, fn)`` with the
-        per-call overhead hoisted.
-        """
-        push = heapq.heappush
-        queue = self._queue
-        count = self._counter
-        now = self._now
-        for when in times:
-            if when < now:
-                raise ValueError(f"when={when} is in the past (now={now})")
-            push(queue, (when, count, fn))
-            count += 1
-        self._counter = count
-
     def reserve_counters(self, n: int) -> int:
         """Reserve ``n`` consecutive event sequence numbers; returns the first.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -39,9 +38,6 @@ class CpuCore:
             self.busy_seconds += seconds
         finally:
             self._unit.release(grant)
-
-    def execute_cycles(self, cycles: float) -> Generator:
-        yield from self.execute(cycles / self.clock_hz)
 
     # -- software implementations of the two benchmark kernels ----------------
 
@@ -200,8 +196,3 @@ class AcceleratorSoC:
         self.sha3acc = Sha3Accelerator(
             self.env, link_bandwidth=self.accelerator_link_bandwidth
         )
-
-    @staticmethod
-    def expected_permutations(payload_length: int) -> int:
-        """Keccak permutations for a payload (incl. padding block)."""
-        return math.floor(payload_length / 136) + 1

@@ -30,10 +30,6 @@ class CapacityTelemetry:
         self._stores.setdefault(platform, []).append(store)
         return store
 
-    def register_all(self, platform: str, stores: Iterable[TieredStore]) -> None:
-        for store in stores:
-            self.register(platform, store)
-
     def platforms(self) -> tuple[str, ...]:
         return tuple(self._stores)
 

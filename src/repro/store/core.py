@@ -111,9 +111,6 @@ class ProfileStore:
         self._interned[value] = sid
         return sid
 
-    def intern_many(self, values: Iterable[str]) -> dict[str, int]:
-        return {value: self.intern(value) for value in values}
-
 
 def open_store(path: str | os.PathLike, *, create: bool = True) -> ProfileStore:
     """Open (or create) a profile store at ``path``.

@@ -403,8 +403,8 @@ class DataProvider:
 
         Excludes provenance (engine, config, created, label, run ids)
         and span trees, so two ingests of byte-identical measurements --
-        the same run twice, or engine=heap vs engine=columnar legs of
-        the parity invariant -- dump equal, diffable with
+        the same run twice, or a run and its per-boundary reference leg
+        -- dump equal, diffable with
         :func:`repro.testing.diff.diff_snapshots`.
         """
         run = self.run(run_id)

@@ -12,9 +12,10 @@ Nine execution-mode axes must not change a single measurement:
 * ``coalescing`` -- the coalesced CPU fast path vs the per-chunk CPU
   reference lane (:mod:`repro.testing.lanes`), which also runs the RPC
   client chunks one by one;
-* ``engine`` -- the columnar calendar-queue event engine vs the
-  reference binary heap (the two engines must agree on *everything*,
-  including events processed -- they drain the identical event set);
+* ``engine`` -- the heap engine's block drain vs the per-boundary
+  reference lane, which pops every CPU chunk boundary as its own event
+  (the two must agree on *everything*, including events processed --
+  drained boundaries are counted as if popped);
 * ``batched-io`` -- the batched storage read planner (one coalesced
   leg per contiguous device tier, one generator resume per read) vs
   the per-chunk reader reference lane: samples, spans, tier hit
@@ -24,16 +25,18 @@ Nine execution-mode axes must not change a single measurement:
 * ``replay`` -- the same config run twice: seed determinism, and (when
   the config carries fault plans) the chaos-replay ledger against the
   original run's ledger;
-* ``service`` -- the open-loop service driver (``repro serve``) run on
-  both event engines with the fuzzed config's seed: the rolling
+* ``service`` -- the open-loop service driver (``repro serve``) run
+  with the fuzzed config's seed, once as shipped and once on the
+  per-boundary lane: the rolling
   :class:`~repro.workloads.service.WindowSnapshot` streams must be
   byte-identical as JSON lines;
 * ``store`` -- the persistent profile store: the base run ingested into
   two fresh stores must produce row-identical contents (writer
-  determinism), an engine-flipped leg ingested alongside must match
-  row-for-row (the stored surface inherits engine parity), and reading
-  the store back must rehydrate a result whose snapshot is
-  byte-identical to the base run's (round-trip fidelity).
+  determinism), a per-boundary leg ingested alongside must match
+  row-for-row (its CPU chunks are stored from tuple rows, the base's
+  from span blocks), and reading the store back must rehydrate a result
+  whose snapshot is byte-identical to the base run's (round-trip
+  fidelity).
 
 :class:`DifferentialRunner` executes the legs for one config and diffs
 each against the base run with the structured snapshot differ.  A leg
@@ -47,7 +50,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.testing.diff import Mismatch, diff_snapshots, snapshot
-from repro.testing.lanes import CHUNKED_IO, PER_CHUNK_CPU, run_reference
+from repro.testing.lanes import (
+    CHUNKED_IO,
+    PER_BOUNDARY,
+    PER_CHUNK_CPU,
+    on_lanes,
+    run_reference,
+)
 
 __all__ = ["PairResult", "DifferentialReport", "DifferentialRunner", "MODE_PAIRS"]
 
@@ -188,11 +197,10 @@ class DifferentialRunner:
                     )
                 )
             elif pair == "engine":
-                # Flip the engine axis: no masking -- the calendar queue
-                # must count the same events the heap engine pops.
-                flipped = "heap" if config.engine == "columnar" else "columnar"
+                # No masking: the block drain must count the same events
+                # the per-boundary lane pops.
                 results.append(
-                    self._compare("engine", base_snap, config, engine=flipped)
+                    self._compare("engine", base_snap, config, lane=PER_BOUNDARY)
                 )
             elif pair == "batched-io":
                 # The batched planner must reproduce the per-chunk reader's
@@ -219,8 +227,8 @@ class DifferentialRunner:
     def _pair_store(self, base, base_snap: dict, config) -> PairResult:
         # Three invariants in one pair: (1) ingesting the same result into
         # two fresh stores dumps row-identically (writer determinism);
-        # (2) an engine-flipped leg's store rows match the base's -- the
-        # stored surface inherits the engine-parity invariant; (3) reading
+        # (2) a per-boundary leg's store rows (CPU chunks as tuple rows)
+        # match the base's (CPU chunks as span blocks); (3) reading
         # the base's store back rehydrates a snapshot byte-identical to
         # the live one (round-trip fidelity).
         from repro.store import DataProvider, ProfileStore, StoreWriter
@@ -233,11 +241,8 @@ class DifferentialRunner:
                 first = writer.ingest_fleet(base, config=config)
                 second = writer.ingest_fleet(base, config=config)
                 mismatches.extend(provider.delta(first, second))
-                flipped = "heap" if config.engine == "columnar" else "columnar"
-                other = self._leg(config, engine=flipped)
-                third = writer.ingest_fleet(
-                    other, config=config.with_overrides(engine=flipped)
-                )
+                other = run_reference(config, (PER_BOUNDARY,))
+                third = writer.ingest_fleet(other, config=config)
                 mismatches.extend(provider.delta(first, third))
                 rehydrated = snapshot(provider.fleet_result(first))
                 mismatches.extend(diff_snapshots(base_snap, rehydrated))
@@ -247,10 +252,11 @@ class DifferentialRunner:
 
     def _pair_service(self, config) -> PairResult:
         # Service mode has no batch base leg; the pair drives the open-loop
-        # window generator itself, once per engine, seeded from the fuzzed
-        # config, and diffs the snapshot streams byte-for-byte as JSON
-        # lines.  The serve run is deliberately tiny (a flash crowd inside
-        # a short diurnal day) so the pair stays cheap per fuzzed config.
+        # window generator itself, once as shipped and once on the
+        # per-boundary lane, seeded from the fuzzed config, and diffs the
+        # snapshot streams byte-for-byte as JSON lines.  The serve run is
+        # deliberately tiny (a flash crowd inside a short diurnal day) so
+        # the pair stays cheap per fuzzed config.
         from repro.api import ServeConfig, run_service
         from repro.observability.exporters import window_jsonl
 
@@ -270,20 +276,15 @@ class DifferentialRunner:
             seed=getattr(config, "seed", 0),
         )
         try:
-            legs = {
-                engine: [
-                    window_jsonl(snap)
-                    for snap in run_service(serve.with_overrides(engine=engine))
-                ]
-                for engine in ("heap", "columnar")
-            }
+            heap = [window_jsonl(snap) for snap in run_service(serve)]
+            with on_lanes((PER_BOUNDARY,)):
+                reference = [window_jsonl(snap) for snap in run_service(serve)]
         except Exception as exc:
             return PairResult("service", error=f"{type(exc).__name__}: {exc}")
         return PairResult(
             "service",
             mismatches=diff_snapshots(
-                {"service_windows": legs["heap"]},
-                {"service_windows": legs["columnar"]},
+                {"service_windows": heap}, {"service_windows": reference}
             ),
         )
 

@@ -5,7 +5,7 @@ randomized-but-reproducible :class:`~repro.api.FleetConfig`: platform
 mixes (including single-platform and zero-query platforms), per-run
 seeds, trace sampling rates, counter jitter, BigQuery dataset sizing,
 observability on/off/per-platform scrape periods, parallel worker
-counts, seeded fault plans, and the event engine (heap vs columnar).
+counts, shard geometry, and seeded fault plans.
 Config ``i`` depends only on the fuzzer seed and ``i`` -- never on how
 many configs were generated before it -- so a failing index from a
 selftest log regenerates the exact config without replaying the run.
@@ -111,8 +111,6 @@ class FleetConfigFuzzer:
             # Drawn last so adding the sharding axis left every earlier
             # field of existing (seed, index) configs unchanged.
             shards=(None, None, 1, 2, 3, "auto")[int(rng.integers(6))],
-            # Drawn after shards for the same prefix-stability reason.
-            engine=("heap", "columnar")[int(rng.integers(2))],
         )
 
     def _fault_plans(

@@ -3,8 +3,9 @@
 The fleet runs one production path per layer: coalesced CPU runs
 (``ServerNode.compute_batch`` / ``compute_block``) drained in blocks by
 the heap engine, and batched storage reads.  Their slow twins are kept
-only as oracles for the ``coalescing`` and ``batched-io`` differential
-pairs and the heap-drain tests, and are switched on here:
+only as oracles for the ``coalescing``, ``batched-io``, ``engine``,
+``service`` and ``store`` differential pairs and the heap-drain tests,
+and are switched on here:
 
 * ``"per-chunk-cpu"`` -- every cluster node's coalesced CPU entry points
   run chunk by chunk through ``ServerNode.compute`` (RPC client chunks
@@ -13,12 +14,17 @@ pairs and the heap-drain tests, and are switched on here:
   lane an attached chaos controller pins;
 * ``"per-boundary"`` -- every platform environment pops each coalesced
   CPU chunk boundary as its own heap event (no recorder block drain).
+
+:func:`run_reference` runs a fleet config on chosen lanes, and
+:func:`on_lanes` switches them on for code that builds its own fleet,
+such as a service run.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from types import MethodType
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.workloads.fleet import FleetSimulation
 
@@ -51,29 +57,38 @@ def per_boundary(env) -> None:
     env.drain_batches = False
 
 
+def _checked(lanes: Iterable[str]) -> tuple[str, ...]:
+    lanes = tuple(lanes)
+    unknown = set(lanes) - set(REFERENCE_LANES)
+    if unknown:
+        raise ValueError(f"unknown reference lanes {sorted(unknown)}")
+    return lanes
+
+
+def _switch_lanes(platform, lanes: tuple[str, ...]):
+    """Put one freshly built platform on the given reference lanes."""
+    if PER_CHUNK_CPU in lanes:
+        for node in platform.cluster.nodes:
+            per_chunk_cpu(node)
+    if CHUNKED_IO in lanes:
+        chunked_reader(platform.dfs)
+    if PER_BOUNDARY in lanes:
+        per_boundary(platform.env)
+    return platform
+
+
 class ReferenceFleetSimulation(FleetSimulation):
     """A :class:`FleetSimulation` whose platforms run on reference lanes."""
 
     def __init__(self, *, lanes: Iterable[str] = REFERENCE_LANES, **kwargs):
-        self.lanes = tuple(lanes)
-        unknown = set(self.lanes) - set(REFERENCE_LANES)
-        if unknown:
-            raise ValueError(f"unknown reference lanes {sorted(unknown)}")
+        self.lanes = _checked(lanes)
         super().__init__(**kwargs)
 
     def config(self) -> dict:
         return {**super().config(), "lanes": self.lanes}
 
     def build_platform(self, *args, **kwargs):
-        platform = super().build_platform(*args, **kwargs)
-        if PER_CHUNK_CPU in self.lanes:
-            for node in platform.cluster.nodes:
-                per_chunk_cpu(node)
-        if CHUNKED_IO in self.lanes:
-            chunked_reader(platform.dfs)
-        if PER_BOUNDARY in self.lanes:
-            per_boundary(platform.env)
-        return platform
+        return _switch_lanes(super().build_platform(*args, **kwargs), self.lanes)
 
 
 def run_reference(config, lanes: Iterable[str] = REFERENCE_LANES):
@@ -83,3 +98,25 @@ def run_reference(config, lanes: Iterable[str] = REFERENCE_LANES):
 
     sim = build_simulation(config, parallel=False)
     return ReferenceFleetSimulation(lanes=lanes, **sim.config()).run()
+
+
+@contextmanager
+def on_lanes(lanes: Iterable[str]) -> Iterator[None]:
+    """Within the block, every platform a :class:`FleetSimulation` builds
+    runs on the given reference lanes.
+
+    For drivers that build their own simulation, such as the service
+    window loop behind ``run_service`` and ``repro serve``: it is patched
+    into ``FleetSimulation.build_platform`` and undone on exit.
+    """
+    lanes = _checked(lanes)
+    build_platform = FleetSimulation.build_platform
+
+    def build_on_lanes(self, *args, **kwargs):
+        return _switch_lanes(build_platform(self, *args, **kwargs), lanes)
+
+    FleetSimulation.build_platform = build_on_lanes
+    try:
+        yield
+    finally:
+        FleetSimulation.build_platform = build_platform

@@ -68,8 +68,6 @@ def _candidates(config) -> Iterator[tuple[str, Any]]:
             isinstance(config.shards, int) and config.shards > 1
         ):
             yield "shards=1", config.with_overrides(shards=1)
-    if config.engine != "heap":
-        yield "engine=heap", config.with_overrides(engine="heap")
     if config.trace_sample_rate != 1:
         yield "trace_sample_rate=1", config.with_overrides(trace_sample_rate=1)
     if config.counter_jitter != 0.0:

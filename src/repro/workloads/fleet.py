@@ -31,7 +31,7 @@ from repro.profiling.breakdown import CpuCycleBreakdown, E2EBreakdown, trace_bre
 from repro.profiling.counters import CounterRates, PerfCounterModel
 from repro.profiling.dapper import Tracer
 from repro.profiling.gwp import FleetProfiler
-from repro.sim import ColumnarEnvironment, Environment
+from repro.sim import Environment
 from repro.storage.telemetry import CapacityTelemetry
 from repro.workloads import calibration
 from repro.workloads.calibration import BIGQUERY, BIGTABLE, PLATFORMS, SPANNER
@@ -254,10 +254,7 @@ class FleetSimulation:
         self.trace_sample_rate = trace_sample_rate
         self.counter_jitter = counter_jitter
         self.bigquery_dataset_rows = bigquery_dataset_rows
-        #: Event-engine lane: ``"heap"`` (the classic one-heappop-per-event
-        #: loop) or ``"columnar"`` (struct-of-arrays event blocks drained in
-        #: time-bucketed batches; byte-identical measurements, see
-        #: docs/performance.md).
+        #: Event engine: ``"heap"``, the only one (see docs/performance.md).
         self.engine = engine
         #: Optional chaos: platform name -> FaultPlan replayed into that
         #: platform's environment while it serves its query stream.
@@ -320,7 +317,7 @@ class FleetSimulation:
         metrics: MetricsRegistry | None = None,
     ) -> PlatformBase:
         """Construct one platform simulator on a fresh environment."""
-        env = ColumnarEnvironment() if self.engine == "columnar" else Environment()
+        env = Environment()
         tracer = Tracer(self.trace_sample_rate)
         seed = self.seed + _PLATFORM_SEED_OFFSET[name]
         profile = calibration.build_profile(name)
@@ -342,7 +339,6 @@ class FleetSimulation:
             )
         else:
             raise ValueError(f"unknown platform {name!r}")
-        platform.set_engine(self.engine)
         return platform
 
     def start_observer(

@@ -22,44 +22,6 @@ delays = st.lists(
     st.floats(min_value=0, max_value=100), min_size=1, max_size=20
 )
 
-#: The event-engine axis: the reference binary heap vs the batched
-#: columnar calendar queue (byte-identical measurement surfaces).
-engines = st.sampled_from(["heap", "columnar"])
-
-#: Firing times drawn from a coarse grid plus arbitrary floats: the grid
-#: makes cross-block ties (the interesting tie-breaking case) common
-#: instead of measure-zero.
-_TIME_GRID = tuple(i / 16.0 for i in range(17))
-event_times = st.one_of(
-    st.sampled_from(_TIME_GRID),
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
-
-
-@st.composite
-def time_columns(draw, *, max_size: int = 6):
-    """A nondecreasing run of firing times (one calendar-queue block)."""
-    times = draw(st.lists(event_times, min_size=1, max_size=max_size))
-    times.sort()
-    return times
-
-
-@st.composite
-def schedule_plans(draw, *, max_ops: int = 6):
-    """Interleaved scheduling ops for engine-parity properties.
-
-    Each op is ``("block", times)`` or ``("call", when)``.  Applying the
-    ops in order to a heap and a columnar environment allocates the same
-    event counters on both sides, so tie-breaking must line up exactly.
-    """
-    ops = []
-    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
-        if draw(st.booleans()):
-            ops.append(("block", draw(time_columns())))
-        else:
-            ops.append(("call", draw(event_times)))
-    return ops
-
 
 def delay_lists(
     size: int,
@@ -179,5 +141,4 @@ def fleet_configs(draw):
         trace_sample_rate=draw(st.sampled_from([1, 2, 3])),
         counter_jitter=draw(st.sampled_from([0.0, 0.02])),
         observability=draw(st.sampled_from([None, True])),
-        engine=draw(engines),
     )

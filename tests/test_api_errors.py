@@ -37,6 +37,11 @@ class TestRunFleetConfigErrors:
         with pytest.raises(api.ConfigError):
             api.run_fleet(api.FleetConfig(queries=-5))
 
+    def test_removed_engine(self):
+        # The calendar-queue engine is gone; "heap" is the one left.
+        with pytest.raises(api.ConfigError, match=r"one of \('heap',\)"):
+            api.run_fleet(api.FleetConfig(queries=1, engine="columnar"))
+
     def test_partial_mapping_fills_missing_platforms(self):
         """A single-platform mix runs; missing platforms idle at zero.
 

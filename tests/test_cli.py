@@ -25,7 +25,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--platform", "Oracle"])
 
-    def test_axis_flags_uniform_across_run_verbs(self):
+    def test_axis_flags_uniform_across_run_verbs(self, capsys):
         # --engine and --seed parse on every run verb; --shards/--workers
         # on everything with a scheduler surface (serve declares them too,
         # but rejects them at resolve time with a typed error).
@@ -37,6 +37,12 @@ class TestParser:
             assert args.engine == "columnar"
             assert args.seed == "7"  # validated later, not by argparse
             assert hasattr(args, "shards") and hasattr(args, "workers")
+        # The calendar-queue engine was removed: its name is now a typed
+        # error that lists the engines left.
+        assert main(["fleet", "--engine", "columnar"]) == 2
+        err = capsys.readouterr().err
+        assert "--engine must be one of ['heap'], got 'columnar'" in err
+        assert "Traceback" not in err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -164,14 +170,18 @@ class TestServeCommand:
     def test_serve_jsonl_stdout_is_pure_and_engine_invariant(self, capsys):
         import json
 
-        legs = {}
-        for engine in ("heap", "columnar"):
-            assert main(SERVE_SMALL + ["--jsonl", "-", "--engine", engine]) == 0
+        from repro.testing.lanes import PER_BOUNDARY, on_lanes
+
+        def serve_jsonl():
+            assert main(SERVE_SMALL + ["--jsonl", "-", "--engine", "heap"]) == 0
             out = capsys.readouterr().out
             rows = [json.loads(line) for line in out.splitlines()]
             assert [row["index"] for row in rows] == list(range(len(rows)))
-            legs[engine] = out
-        assert legs["heap"] == legs["columnar"]
+            return out
+
+        heap = serve_jsonl()
+        with on_lanes((PER_BOUNDARY,)):
+            assert serve_jsonl() == heap
 
     def test_serve_jsonl_file(self, tmp_path, capsys):
         target = tmp_path / "windows.jsonl"

@@ -24,7 +24,12 @@ from repro.profiling.dapper import BLOCK_MIN, ChunkSpanBlock, Span, SpanKind, Tr
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment
 from repro.testing import diff_snapshots, sample_rows, snapshot, span_rows
-from repro.testing.lanes import PER_BOUNDARY, ReferenceFleetSimulation, per_boundary
+from repro.testing.lanes import (
+    PER_BOUNDARY,
+    ReferenceFleetSimulation,
+    on_lanes,
+    per_boundary,
+)
 from repro.workloads.fleet import FleetSimulation
 
 QUERIES = {"Spanner": 3, "BigTable": 3, "BigQuery": 1}
@@ -65,7 +70,7 @@ class TestFleetParity:
 
 
 class TestServiceParity:
-    def test_windowed_day(self, monkeypatch):
+    def test_windowed_day(self):
         # Each window is one run(until=t) per platform: drains stop at the
         # window edge and resume in the next window's run.
         config = ServeConfig(
@@ -81,15 +86,8 @@ class TestServiceParity:
             seed=4,
         )
         production = [window_jsonl(w) for w in run_service(config)]
-        build_platform = FleetSimulation.build_platform
-
-        def per_boundary_platform(self, *args, **kwargs):
-            platform = build_platform(self, *args, **kwargs)
-            per_boundary(platform.env)
-            return platform
-
-        monkeypatch.setattr(FleetSimulation, "build_platform", per_boundary_platform)
-        assert [window_jsonl(w) for w in run_service(config)] == production
+        with on_lanes((PER_BOUNDARY,)):
+            assert [window_jsonl(w) for w in run_service(config)] == production
 
 
 class TestFastPathStaysOn:

@@ -32,7 +32,7 @@ from repro.cluster import (
     rpc_call,
 )
 from repro.faults import FaultPlan
-from repro.platforms.common import PlatformBase
+from repro.platforms.common import ENGINES, PlatformBase
 from repro.profiling.dapper import Trace
 from repro.profiling.gwp import FleetProfiler
 from repro.sim import Environment
@@ -85,7 +85,6 @@ class TestConfigSurface:
     def test_io_mode_is_provenance_only(self):
         # The benchmark records FleetConfig().io_mode on every run.
         assert FleetConfig().io_mode == "batched"
-        assert FleetConfig(engine="columnar").io_mode == "batched"
 
     @pytest.mark.parametrize(
         "field, value", [("coalesce", False), ("io_mode", "chunked")]
@@ -197,7 +196,7 @@ QUERIES = {"Spanner": 3, "BigTable": 3, "BigQuery": 1}
 
 
 class TestReferenceLanes:
-    @pytest.mark.parametrize("engine", ["heap", "columnar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_per_chunk_cpu_bypasses_every_coalesced_entry(self, monkeypatch, engine):
         # The lane must leave no coalesced CPU call anywhere in the run.
         calls = _spy_coalesced_cpu(monkeypatch)
@@ -291,8 +290,9 @@ def _digest(value) -> str:
 
 
 class TestFuzzerPrefixStability:
-    """The storage-reader draw was the fuzzer's last; removing it left every
-    earlier field of existing ``(seed, index)`` configs unchanged."""
+    """The storage-reader and engine draws were the fuzzer's last; removing
+    them left every earlier field of existing ``(seed, index)`` configs
+    unchanged."""
 
     def test_config_that_drew_the_chunked_reader(self):
         # Index 6 of seed 7 used to draw the per-chunk reader.

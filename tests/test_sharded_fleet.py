@@ -351,8 +351,7 @@ class TestBenchSampleDrift:
     """
 
     def test_drift_is_determinism_class_and_stealing_loses_nothing(self):
-        # Columnar engine for wall-clock; engine parity is pinned elsewhere.
-        unsharded = run_fleet(FleetConfig(queries=60, seed=0, engine="columnar"))
+        unsharded = run_fleet(FleetConfig(queries=60, seed=0))
         assert unsharded.profiler.sample_count() == 15_777
 
         # Pin the geometry instead of passing ``"auto"`` through: auto
@@ -361,7 +360,7 @@ class TestBenchSampleDrift:
         # one-worker ``"auto"`` plan, pinned at 15,649.
         geometry = resolve_shards("auto", normalize_queries(60), workers=1)
         sharded = run_fleet(
-            FleetConfig(queries=60, seed=0, engine="columnar", shards=geometry)
+            FleetConfig(queries=60, seed=0, shards=geometry)
         )
         assert sharded.profiler.sample_count() == 15_649
 
@@ -369,7 +368,6 @@ class TestBenchSampleDrift:
             FleetConfig(
                 queries=60,
                 seed=0,
-                engine="columnar",
                 shards=geometry,
                 parallel=True,
                 max_workers=2,

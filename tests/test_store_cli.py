@@ -22,7 +22,7 @@ def store_path(tmp_path_factory):
     ) == 0
     assert main(
         ["store", "ingest", str(path), "--queries", "8", "--seed", "3",
-         "--engine", "columnar"]
+         "--engine", "heap"]
     ) == 0
     return path
 
@@ -98,7 +98,7 @@ class TestReadVerbs:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2
         assert "run 1  fleet" in out[0] and "label=first" in out[0]
-        assert "engine=columnar" in out[1]
+        assert "engine=heap" in out[1]
 
     def test_runs_empty_store_exits_1(self, tmp_path, capsys):
         from repro.store import ProfileStore
@@ -193,11 +193,16 @@ class TestParser:
 
             build_parser().parse_args(["store"])
 
-    def test_ingest_declares_axis_flags(self):
+    def test_ingest_declares_axis_flags(self, tmp_path, capsys):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["store", "ingest", "p.sqlite", "--engine", "columnar", "--seed", "7"]
-        )
+        argv = ["store", "ingest", str(tmp_path / "p.sqlite"),
+                "--engine", "columnar", "--seed", "7"]
+        args = build_parser().parse_args(argv)
         assert args.engine == "columnar"
         assert args.seed == "7"  # validated later, not by argparse
+        # ... where the removed calendar-queue engine is a typed error.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--engine must be one of ['heap'], got 'columnar'" in err
+        assert not (tmp_path / "p.sqlite").exists()

@@ -1,7 +1,7 @@
 """Golden-table regression tests for the store-backed rendering path.
 
 ``tests/golden/store_tables.txt`` is the committed rendering of Tables
-1/6/7/8 for one fixture config.  Both engines must regenerate it
+1/6/7/8 for one fixture config.  Every engine must regenerate it
 byte-identically from a store -- and the store-backed bytes must equal
 the in-memory rendering of the same run, which is the acceptance
 criterion of the store PR.  Regenerate the golden (only after an
@@ -25,6 +25,7 @@ import pytest
 
 from repro import api
 from repro.analysis import render_tables, tables_from_store
+from repro.platforms.common import ENGINES
 from repro.soc import ValidationExperiment
 from repro.store import DataProvider, ProfileStore, StoreWriter
 
@@ -35,7 +36,7 @@ FIXTURE = api.FleetConfig(
 )
 
 
-@pytest.mark.parametrize("engine", ["heap", "columnar"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_store_tables_match_golden_and_memory(engine):
     config = FIXTURE.with_overrides(engine=engine)
     result = api.run_fleet(config)

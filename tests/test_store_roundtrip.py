@@ -28,6 +28,7 @@ from repro.store import (
 )
 from repro.testing import assert_equivalent
 from repro.testing.diff import diff_snapshots, snapshot
+from repro.testing.lanes import PER_BOUNDARY, run_reference
 from tests.strategies import fleet_configs
 
 SMALL = api.FleetConfig(
@@ -73,19 +74,17 @@ class TestStoredSurfaces:
         store.close()
 
     def test_engine_legs_store_identical_rows(self):
-        # The engine-parity invariant survives the trip through sqlite:
-        # heap and columnar legs of the same config dump row-for-row equal.
+        # The engine-parity invariant survives the trip through sqlite: the
+        # heap engine's block drain and the per-boundary lane dump
+        # row-for-row equal for the same config.
         store = ProfileStore(":memory:")
         with store:
             writer = StoreWriter(store)
-            runs = {
-                engine: writer.ingest_fleet(
-                    api.run_fleet(SMALL.with_overrides(engine=engine)),
-                    config=SMALL.with_overrides(engine=engine),
-                )
-                for engine in ("heap", "columnar")
-            }
-            assert DataProvider(store).delta(runs["heap"], runs["columnar"]) == []
+            heap = writer.ingest_fleet(api.run_fleet(SMALL), config=SMALL)
+            reference = writer.ingest_fleet(
+                run_reference(SMALL, (PER_BOUNDARY,)), config=SMALL
+            )
+            assert DataProvider(store).delta(heap, reference) == []
 
     def test_prometheus_artifact_is_verbatim(self, stored):
         from repro.observability import prometheus_text

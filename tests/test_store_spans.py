@@ -112,8 +112,8 @@ def heap_fleet():
 
 
 @pytest.fixture
-def columnar_fleet():
-    return api.run_fleet(MIXED.with_overrides(engine="columnar"))
+def block_fleet():
+    return api.run_fleet(MIXED)
 
 
 def test_heap_fleet_rows_match_and_stay_compact(heap_fleet):
@@ -131,25 +131,22 @@ def test_heap_fleet_rows_match_and_stay_compact(heap_fleet):
     assert any(row[-1].startswith('{"node": ') for row in spans)
 
 
-def test_columnar_fleet_block_rows_match(columnar_fleet):
-    blocks = [row for row in raw_rows(columnar_fleet)
+def test_block_fleet_rows_match(block_fleet):
+    blocks = [row for row in raw_rows(block_fleet)
               if type(row) is ChunkSpanBlock]
-    assert blocks, "the columnar BigQuery run should record span blocks"
-    assert_rows_match(columnar_fleet)
+    assert blocks, "the BigQuery run should record span blocks"
+    assert_rows_match(block_fleet)
 
 
-def test_block_rows_store_what_the_heap_engine_stores(columnar_fleet):
+def test_block_rows_store_what_the_heap_engine_stores(block_fleet):
     # An oracle independent of ChunkSpanBlock: the heap engine popping each
     # chunk boundary on its own (the per-boundary lane) records the same
-    # chunks as compact tuples, and block rows must store the same rows --
-    # the columnar engine's and the draining heap engine's alike.
+    # chunks as compact tuples, and the draining heap engine's block rows
+    # must store the same rows.
     per_chunk = run_reference(MIXED, lanes=(PER_BOUNDARY,))
     assert not any(type(row) is ChunkSpanBlock for row in raw_rows(per_chunk))
-    heap = api.run_fleet(MIXED)
-    assert any(type(row) is ChunkSpanBlock for row in raw_rows(heap))
-    want = stored_rows(per_chunk)
-    assert stored_rows(columnar_fleet) == want
-    assert stored_rows(heap) == want
+    assert any(type(row) is ChunkSpanBlock for row in raw_rows(block_fleet))
+    assert stored_rows(block_fleet) == stored_rows(per_chunk)
 
 
 def test_fault_fleet_error_annotations_match():
@@ -170,13 +167,13 @@ def test_fault_fleet_error_annotations_match():
     assert any('"error": ' in row[-1] for row in spans)
 
 
-def test_partly_materialized_trace_matches(columnar_fleet):
+def test_partly_materialized_trace_matches(block_fleet):
     # A trace read through .spans mid-run holds Span objects for its
     # prefix and compact rows after it; rebuild that state from a real
     # trace with block rows and check the mixed list stores the same rows.
     trace = next(
         trace
-        for platform in columnar_fleet.platforms.values()
+        for platform in block_fleet.platforms.values()
         for trace in platform.tracer.finished_traces()
         if any(type(row) is ChunkSpanBlock for row in trace._spans)
     )
@@ -187,7 +184,7 @@ def test_partly_materialized_trace_matches(columnar_fleet):
     trace._spans.extend(rows[cut + 1:])
     kinds = {type(row).__name__ for row in trace._spans}
     assert "Span" in kinds and len(kinds) > 1, kinds
-    assert_rows_match(columnar_fleet)
+    assert_rows_match(block_fleet)
 
 
 def test_node_none_is_not_no_annotations(heap_fleet):
